@@ -16,7 +16,7 @@ Commands:
     orbits      census of binary 2x2 starting blocks under both-axis
                 Fibonacci rules
     determine   do given positions pin down a scalar double sequence?
-    bench       time the matrix-power term evaluation at one index
+    bench       time the logarithmic evaluation of one entry
 
 Grids put the first axis left to right and the second axis bottom to top,
 so the row closest to the reader is index (*, 0).  Indices on the command
@@ -30,6 +30,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import islice
 
 from .closedform import RootPair, gf_via_roots
 from .errors import (
@@ -155,13 +156,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_determine)
 
-    p = _command(sub, "bench", "Time the matrix-power evaluation of one entry.")
+    p = _command(sub, "bench", "Time the logarithmic evaluation of one entry.")
     _spec_flag(p)
     p.add_argument("index", help="comma-separated index, one entry per axis")
     p.add_argument(
         "--check",
         action="store_true",
-        help="recompute by plain iteration and compare",
+        help="recompute by walking the axis rules from the initial block "
+        "(linear in the index) and compare",
     )
     p.set_defaults(handler=_cmd_bench)
 
@@ -429,11 +431,11 @@ def _cmd_determine(args) -> int:
 
 
 def _iterative_term(seq: MultiSequence, index):
-    """Recompute an entry without matrix powers, for cross-checking."""
-    if seq.ndim == 1 and seq.rank == 1:
+    """Recompute an entry by walking the axis rules, for cross-checking."""
+    if seq.ndim == 1 and index[0] >= 0:
         rec = seq.spec.axes[0]
         initial = [seq.block.at((j,)) for j in range(rec.order)]
-        return Sequence(rec, initial).term(index[0])
+        return next(islice(Sequence(rec, initial).iter_terms(), index[0], None))
     return seq.term(index)
 
 

@@ -18,8 +18,8 @@ beyond that.
 from __future__ import annotations
 
 from .errors import RingMismatchError
-from .multiseq import MultiSequence, box_indices, from_sequence
-from .recurrence import Recurrence, Sequence
+from .multiseq import _as_multi, box_indices
+from .recurrence import Recurrence
 from .rings import PolynomialRing, Ring, RingElement
 
 
@@ -290,21 +290,13 @@ class RationalGF:
         )
 
 
-def _coerce_multi(seq) -> MultiSequence:
-    if isinstance(seq, Sequence):
-        return from_sequence(seq)
-    if isinstance(seq, MultiSequence):
-        return seq
-    raise RingMismatchError(f"expected a sequence, got {seq!r}")
-
-
 def gf(seq, coordinate: int | None = None) -> RationalGF:
     """The rational generating function of a sequence.
 
     Scalar sequences need no ``coordinate``; for rank ``m`` values pass the
     coordinate (0-based) whose series is wanted.
     """
-    mseq = _coerce_multi(seq)
+    mseq = _as_multi(seq)
     if coordinate is None:
         if mseq.rank != 1:
             raise RingMismatchError(
@@ -345,7 +337,7 @@ def expand(rational: RationalGF, orders) -> TruncatedSeries:
 def verify_gf(seq, orders) -> bool:
     """Whether the expanded generating functions reproduce every term of the
     sequence inside the bounds, exactly, one series per coordinate."""
-    mseq = _coerce_multi(seq)
+    mseq = _as_multi(seq)
     for coord in range(mseq.rank):
         series = gf(mseq, coord).expand(orders)
         for idx in box_indices(series.shape):

@@ -10,8 +10,9 @@ Any term is reached by repeatedly rewriting one coordinate with its axis
 rule.  The value never depends on which axis is rewritten first; ``term``
 takes an optional axis priority purely so that tests can exercise this
 independence.  ``term_fast`` instead contracts the initial block against
-per-axis canonical-solution rows obtained by companion powering, which is
-logarithmic in each index.
+per-axis canonical-solution rows (:meth:`Recurrence.basis_row`, the
+coefficients of ``x^n`` modulo the axis rule), which is logarithmic in each
+index.
 
 The constructions at the bottom (tensor product, direct sums, the
 symmetric and antisymmetric halves, diagonal identities) combine or probe
@@ -129,9 +130,6 @@ class Block:
                 src[axis] = idx[slot]
             entries.append(self.at(src))
         return Block(self.ring, new_shape, entries)
-
-    def map_entries(self, fn) -> Block:
-        return Block(self.ring, self.shape, [fn(e) for e in self.entries])
 
     def __eq__(self, other):
         if not isinstance(other, Block):
@@ -259,13 +257,11 @@ class MultiSequence:
 
     def term_fast(self, index) -> ModuleElement:
         """Value at ``index`` by contracting the block against per-axis
-        canonical-solution rows (companion powering, logarithmic)."""
+        canonical-solution rows (logarithmic in each index)."""
         index = tuple(int(n) for n in index)
         if len(index) != self.ndim:
             raise IndexError(f"expected {self.ndim} indices, got {len(index)}")
-        rows = [
-            ax.basis_row_fast(n) for ax, n in zip(self.spec.axes, index)
-        ]
+        rows = [ax.basis_row(n) for ax, n in zip(self.spec.axes, index)]
         total = None
         for j in box_indices(self.spec.shape):
             weight = rows[0][j[0]]

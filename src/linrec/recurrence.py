@@ -7,54 +7,18 @@ with initial segment ``B_i[j] = delta(i, j)``; every solution with values in
 a free module is the combination ``x[n] = sum_i B_i[n] * x[i]``, which is
 what :meth:`Sequence.term` evaluates.
 
-Two evaluation strategies are provided: memoized iteration (cheap for dense
-ranges of small indices) and binary powering of the companion matrix
-(logarithmic in ``n``, used by ``term_fast``).  Negative indices work when
-the trailing coefficient ``a_d`` is a unit; otherwise backward steps raise
-:class:`~linrec.errors.NotInvertibleError`.
+The basis row ``(B_0[n], ..., B_{d-1}[n])`` is the coefficient vector of
+``x^n mod chi`` with ``chi = x^d - a_1*x^(d-1) - ... - a_d`` (Fiduccia,
+SIAM J. Comput. 1985).  It is computed on raw payloads by binary powering,
+logarithmic in ``n``, or by one step of ``x`` or ``x^-1`` from the row
+requested before.  Negative indices need a unit trailing coefficient
+``a_d``; otherwise they raise :class:`~linrec.errors.NotInvertibleError`.
 """
 
 from __future__ import annotations
 
 from .errors import NotInvertibleError, RingMismatchError
 from .rings import ModuleElement, Ring, RingElement, as_module_element
-
-# forward basis rows memoized per recurrence, bounded so that long scans do
-# not pin millions of wrapped values; beyond the cap a rolling window is used
-_CACHE_LIMIT = 4096
-
-
-def _identity_matrix(ring: Ring, d: int):
-    one, zero = ring.one, ring.zero
-    return tuple(
-        tuple(one if i == j else zero for j in range(d)) for i in range(d)
-    )
-
-
-def _mat_mul(a, b):
-    k = len(b)
-    cols = range(len(b[0]))
-    out = []
-    for row in a:
-        acc = []
-        for j in cols:
-            total = row[0] * b[0][j]
-            for l in range(1, k):
-                total = total + row[l] * b[l][j]
-            acc.append(total)
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def _mat_pow(ring: Ring, matrix, n: int):
-    result = _identity_matrix(ring, len(matrix))
-    base = matrix
-    while n:
-        if n & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
-        n >>= 1
-    return result
 
 
 class Recurrence:
@@ -67,123 +31,88 @@ class Recurrence:
         self.ring = ring
         self.coeffs = coeffs
         self.order = len(coeffs)
-        # rows[n] = (B_0[n], ..., B_{d-1}[n]); seeded with the defining segment
-        d = self.order
-        self._rows = [
-            tuple(ring.one if i == n else ring.zero for i in range(d))
-            for n in range(d)
-        ]
-        self._neg_rows: list[tuple[RingElement, ...]] = []
-        self._inv_trailing: RingElement | None = None
-
-    def _forward_step(self, window):
-        """Next basis row from the previous ``d`` rows (oldest first)."""
-        d = self.order
-        total = None
-        for j, a in enumerate(self.coeffs, start=1):
-            row = window[d - j]
-            part = tuple(a * v for v in row)
-            total = part if total is None else tuple(x + y for x, y in zip(total, part))
-        return total
-
-    def _backward_step(self, window):
-        """Basis row one below ``window`` (rows n+1 .. n+d, oldest first)."""
-        inv = self._trailing_inverse()
-        d = self.order
-        total = list(window[d - 1])
-        for j in range(1, d):
-            a = self.coeffs[j - 1]
-            row = window[d - 1 - j]
-            for i in range(d):
-                total[i] = total[i] - a * row[i]
-        return tuple(inv * v for v in total)
+        # x^d mod chi, whose coefficients are (a_d, ..., a_1)
+        self._x_d = tuple(c.value for c in reversed(coeffs))
+        self._inv_trailing = coeffs[-1].try_invert()
+        # x^-1 mod chi = a_d^-1 * (x^(d-1) - a_1*x^(d-2) - ... - a_(d-1))
+        self._x_inv = None
+        if self._inv_trailing is not None:
+            inv = self._inv_trailing.value
+            self._x_inv = tuple(
+                ring.mul(inv, ring.neg(a)) for a in self._x_d[1:]
+            ) + (inv,)
+        # the last row handed out, replaced whole so that threads sharing
+        # this rule always read a consistent (index, row) pair
+        self._last = (0, self._power(0))
 
     def _trailing_inverse(self) -> RingElement:
         if self._inv_trailing is None:
-            inv = self.coeffs[-1].try_invert()
-            if inv is None:
-                raise NotInvertibleError(
-                    f"trailing coefficient {self.coeffs[-1]} is not a unit in "
-                    f"{self.ring.describe()}; cannot step backward"
-                )
-            self._inv_trailing = inv
+            raise NotInvertibleError(
+                f"trailing coefficient {self.coeffs[-1]} is not a unit in "
+                f"{self.ring.describe()}; cannot step backward"
+            )
         return self._inv_trailing
 
-    def basis_row(self, n: int) -> tuple[RingElement, ...]:
-        """``(B_0[n], ..., B_{d-1}[n])`` by memoized iteration."""
-        d = self.order
-        if n >= 0:
-            rows = self._rows
-            while len(rows) <= min(n, _CACHE_LIMIT - 1):
-                rows.append(self._forward_step(rows[-d:]))
-            if n < len(rows):
-                return rows[n]
-            window = list(rows[-d:])
-            for _ in range(n - len(rows) + 1):
-                window.append(self._forward_step(window))
-                del window[0]
-            return window[-1]
-        neg = self._neg_rows
-        while len(neg) <= min(-n - 1, _CACHE_LIMIT - 1):
-            m = -len(neg) - 1  # index of the row about to be produced
-            window = [self._row_at(m + i) for i in range(1, d + 1)]
-            neg.append(self._backward_step(window))
-        if -n - 1 < len(neg):
-            return neg[-n - 1]
-        lowest = -len(neg)  # smallest index currently cached
-        window = [self._row_at(lowest + i) for i in range(d)]
-        for _ in range(lowest - n):
-            window.insert(0, self._backward_step(window))
-            del window[-1]
-        return window[0]
+    def _times_x(self, row):
+        """``x * row mod chi``: shift up and fold ``x^d`` back in."""
+        add, mul = self.ring.add, self.ring.mul
+        top, x_d = row[-1], self._x_d
+        return (mul(top, x_d[0]),) + tuple(
+            add(c, mul(top, r)) for c, r in zip(row, x_d[1:])
+        )
 
-    def _row_at(self, n: int) -> tuple[RingElement, ...]:
-        """Row lookup that stays inside (or grows) the forward cache."""
-        if n >= 0:
-            rows = self._rows
-            while len(rows) <= n:
-                rows.append(self._forward_step(rows[-self.order :]))
-            return rows[n]
-        return self._neg_rows[-n - 1]
+    def _times_x_inv(self, row):
+        """``x^-1 * row mod chi``: shift down and fold ``x^-1`` back in."""
+        add, mul = self.ring.add, self.ring.mul
+        low, x_inv = row[0], self._x_inv
+        return tuple(
+            add(c, mul(low, r)) for c, r in zip(row[1:], x_inv)
+        ) + (mul(low, x_inv[-1]),)
+
+    def _square(self, row):
+        """``row * row mod chi`` by Horner's rule: ``sum_i row[i] * x^i * row``."""
+        add, mul = self.ring.add, self.ring.mul
+        acc = tuple(mul(row[-1], v) for v in row)
+        for c in reversed(row[:-1]):
+            acc = tuple(add(s, mul(c, v)) for s, v in zip(self._times_x(acc), row))
+        return acc
+
+    def _power(self, n: int):
+        """``x^n mod chi`` by binary powering of ``x`` or ``x^-1``."""
+        if n < 0:
+            self._trailing_inverse()
+        step = self._times_x if n >= 0 else self._times_x_inv
+        ring = self.ring
+        row = (ring.payload_one(),) + (ring.payload_zero(),) * (self.order - 1)
+        if n:
+            row = step(row)
+            for bit in bin(abs(n))[3:]:
+                row = self._square(row)
+                if bit == "1":
+                    row = step(row)
+        return row
+
+    def basis_row(self, n: int) -> tuple[RingElement, ...]:
+        """``(B_0[n], ..., B_{d-1}[n])``, the coefficients of ``x^n mod chi``.
+
+        A request next to the previous one takes a single step, so scans in
+        either direction cost ``d`` multiplies per row; any other index is
+        reached by binary powering."""
+        last, row = self._last
+        if n == last + 1:
+            row = self._times_x(row)
+        elif n == last - 1 and self._x_inv is not None:
+            row = self._times_x_inv(row)
+        elif n != last:
+            row = self._power(n)
+        self._last = (n, row)
+        return tuple(RingElement(self.ring, v) for v in row)
 
     def basis_value(self, i: int, n: int) -> RingElement:
         """``B_i[n]``, the i-th canonical solution at index ``n``."""
         if not 0 <= i < self.order:
             raise IndexError(f"basis index {i} out of range for order {self.order}")
         return self.basis_row(n)[i]
-
-    def companion_matrix(self):
-        """The step matrix on state vectors ``(x[n+d-1], ..., x[n])``."""
-        d = self.order
-        zero, one = self.ring.zero, self.ring.one
-        top = tuple(self.coeffs)
-        body = tuple(
-            tuple(one if j == i else zero for j in range(d)) for i in range(d - 1)
-        )
-        return (top,) + body
-
-    def inverse_companion_matrix(self):
-        """Inverse of the companion matrix; needs a unit trailing coefficient."""
-        inv = self._trailing_inverse()
-        d = self.order
-        zero, one = self.ring.zero, self.ring.one
-        body = tuple(
-            tuple(one if j == i + 1 else zero for j in range(d)) for i in range(d - 1)
-        )
-        last = [inv]
-        for j in range(1, d):
-            last.append(-(inv * self.coeffs[j - 1]))
-        return body + (tuple(last),)
-
-    def basis_row_fast(self, n: int) -> tuple[RingElement, ...]:
-        """``basis_row(n)`` by binary powering of the companion matrix."""
-        d = self.order
-        if n >= 0:
-            power = _mat_pow(self.ring, self.companion_matrix(), n)
-        else:
-            power = _mat_pow(self.ring, self.inverse_companion_matrix(), -n)
-        last = power[d - 1]
-        return tuple(last[d - 1 - i] for i in range(d))
 
     def __eq__(self, other):
         if not isinstance(other, Recurrence):
@@ -232,13 +161,13 @@ class Sequence:
         return total
 
     def term(self, n: int) -> ModuleElement:
-        """Value at index ``n`` (memoized iteration; negative ``n`` allowed
-        when the trailing coefficient is a unit)."""
+        """Value at index ``n``: the initial segment combined with the basis
+        row at ``n``, logarithmic in ``n`` and a single step next to the
+        previously requested index.  Negative ``n`` needs a unit trailing
+        coefficient."""
         return self._combine(self.recurrence.basis_row(n))
 
-    def term_fast(self, n: int) -> ModuleElement:
-        """Value at index ``n`` by companion-matrix powering."""
-        return self._combine(self.recurrence.basis_row_fast(n))
+    term_fast = term
 
     def iter_terms(self, start: int = 0):
         """Yield terms from ``start`` upward with constant memory."""
@@ -253,10 +182,6 @@ class Sequence:
                 total = part if total is None else total + part
             window.append(total)
             del window[0]
-
-    def terms(self, start: int, stop: int) -> list[ModuleElement]:
-        """Terms at indices ``start <= n < stop``."""
-        return [self.term(n) for n in range(start, stop)]
 
     def shift(self, offset: int) -> Sequence:
         """The sequence ``n -> x[n + offset]`` (same recurrence)."""
@@ -288,7 +213,7 @@ def reconstruct(recurrence: Recurrence, coordinates) -> Sequence:
     return Sequence(recurrence, coordinates)
 
 
-def check_membership(recurrence: Recurrence, values, start_order: int | None = None) -> bool:
+def check_membership(recurrence: Recurrence, values) -> bool:
     """Whether consecutive ``values`` satisfy the recurrence at every
     applicable index.  Needs at least ``order + 1`` values so that the rule
     is exercised at least once."""

@@ -24,6 +24,7 @@ from linrec.multiseq import (
     diagonal_identity_fib,
     direct_sum,
     direct_sum_mixed,
+    from_sequence,
     is_antisymmetric,
     is_symmetric,
     reconstruct,
@@ -345,9 +346,11 @@ def test_criterion_7_fast_term_equivalence():
                 Recurrence(ring, coeffs),
                 [ring(rng.randrange(low, high)) for _ in range(d)],
             )
+            rewriting = from_sequence(seq)
             for _ in range(3):
                 n = rng.randrange(0, 2001)
                 assert seq.term_fast(n) == seq.term(n)
+                assert seq.term(n) == rewriting.term((n,))
 
         for trial in range(100):
             ring = rings[trial % 3]

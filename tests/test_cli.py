@@ -289,3 +289,19 @@ class TestBench:
         )
         assert code == 0
         assert "check: OK" in out
+
+    @pytest.mark.parametrize(
+        "spec, index", [(MERSENNE, "1000"), (GRID, "5,6")], ids=["one-axis", "two-axes"]
+    )
+    def test_check_catches_wrong_basis_rows(self, capsys, monkeypatch, spec, index):
+        original = Recurrence.basis_row
+
+        def corrupted(rec, n):
+            row = original(rec, n)
+            return row if n < rec.order else tuple(v + 1 for v in row)
+
+        monkeypatch.setattr(Recurrence, "basis_row", corrupted)
+        code, out, err = run(capsys, "bench", "--spec", spec, index, "--check")
+        assert code == 3
+        assert "check: MISMATCH" in err
+        assert "check: OK" not in out

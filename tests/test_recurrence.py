@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linrec.errors import NotInvertibleError
+from linrec.multiseq import from_sequence
 from linrec.recurrence import Recurrence, Sequence, check_membership, reconstruct
 from linrec.rings import QQ, ZZ, IntegerModRing, ModuleElement
 
@@ -58,31 +59,27 @@ class TestBasisSolutions:
 
 
 class TestCompanionMatrix:
-    def test_structure(self):
-        rec = Recurrence(ZZ, [4, 5, 6])
-        m = rec.companion_matrix()
-        as_ints = [[v.value for v in row] for row in m]
-        assert as_ints == [[4, 5, 6], [1, 0, 0], [0, 1, 0]]
-
-    def test_inverse_companion_inverts(self):
-        rec = Recurrence(QQ, [Fraction(3), Fraction(-2)])
-        c = rec.companion_matrix()
-        b = rec.inverse_companion_matrix()
-        prod = [
-            [sum((c[i][k] * b[k][j] for k in range(2)), QQ.zero) for j in range(2)]
-            for i in range(2)
-        ]
-        assert [[v.value for v in row] for row in prod] == [[1, 0], [0, 1]]
-
     def test_fast_row_matches_iterative(self):
-        rec = Recurrence(ZZ, [2, 1, -1, 3])
+        coeffs = [2, 1, -1, 3]
+        scanned = Recurrence(ZZ, coeffs)
+        steps = [scanned.basis_row(n) for n in range(101)]
         for n in (0, 1, 2, 3, 7, 16, 45, 100):
-            assert rec.basis_row_fast(n) == rec.basis_row(n)
+            # a fresh rule reaches n by powering, the scan by single steps
+            row = Recurrence(ZZ, coeffs).basis_row(n)
+            assert row == steps[n]
+            assert [v.value for v in row] == [
+                plain_terms(coeffs, [int(i == j) for j in range(4)], n + 1)[n]
+                for i in range(4)
+            ]
 
     def test_fast_row_matches_iterative_negative(self):
         rec = Recurrence(QQ, [3, -2])
         for n in (-1, -2, -5, -17):
-            assert rec.basis_row_fast(n) == rec.basis_row(n)
+            row = Recurrence(QQ, [3, -2]).basis_row(n)
+            assert row == rec.basis_row(n)
+            for i in range(2):
+                unit = from_sequence(Sequence(rec, [int(i == j) for j in range(2)]))
+                assert unit.term((n,)).scalar() == row[i]
 
 
 class TestSequenceEvaluation:
@@ -93,8 +90,10 @@ class TestSequenceEvaluation:
         assert fib.term(50).scalar().value == 12586269025
 
     def test_term_fast_agrees(self, fib):
+        fibs = plain_terms([1, 1], [0, 1], 80)
         for n in range(0, 80, 7):
             assert fib.term_fast(n) == fib.term(n)
+            assert fib.term(n).scalar().value == fibs[n]
 
     def test_large_index_mod_prime(self):
         p = 10**9 + 7
@@ -161,6 +160,7 @@ class TestBackwardExtension:
     def test_deep_negative_matches_fast(self):
         seq = Sequence(Recurrence(QQ, [1, 1]), [0, 1])
         assert seq.term(-30) == seq.term_fast(-30)
+        assert seq.term(-30) == from_sequence(seq).term((-30,))
 
 
 class TestShiftDecompose:
@@ -222,4 +222,4 @@ def test_random_sequences_satisfy_their_rule(data):
     for j, a in enumerate(seq.recurrence.coeffs, start=1):
         rhs = rhs + a * seq.term(n + d - j).scalar()
     assert lhs == rhs
-    assert seq.term_fast(n) == seq.term(n)
+    assert seq.term_fast(n) == seq.term(n) == from_sequence(seq).term((n,))
