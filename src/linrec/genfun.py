@@ -10,6 +10,8 @@ product of the per-axis ``q_i``.
 ``expand`` recovers series coefficients exactly without any division: since
 every ``q_i`` has constant term 1, the coefficient hypercube satisfies
 ``c[n] = p[n] + sum_j a_j c[n - j]`` along each axis in turn.
+``coefficient`` reads a single coefficient by Bostan-Mori halving, in a
+number of ring operations logarithmic in each index.
 
 Variables are named ``t`` for one axis, ``t, s`` for two, and ``t1..tp``
 beyond that.
@@ -17,7 +19,7 @@ beyond that.
 
 from __future__ import annotations
 
-from .errors import RingMismatchError
+from .errors import NotInvertibleError, RingMismatchError
 from .multiseq import _as_multi, box_indices
 from .recurrence import Recurrence
 from .rings import PolynomialRing, Ring, RingElement
@@ -327,6 +329,114 @@ def gf(seq, coordinate: int | None = None) -> RationalGF:
         value = mseq.block.at(idx)[coordinate]
         numerator = numerator + weight * poly_ring.constant(value)
     return RationalGF(numerator, axis_q)
+
+
+def coefficient(rational: RationalGF, index) -> RingElement:
+    """``[t_1^n_1 ... t_p^n_p] N / (q_1 ... q_p)``, one axis at a time by
+    Bostan-Mori halving (A. Bostan and R. Mori, SOSA 2021).
+
+    Along axis ``i``, ``N <- N(t) q_i(-t)`` keeps the terms whose exponent
+    has the parity of ``n_i``, ``q_i <- q_i(t) q_i(-t)`` keeps its even part,
+    and every exponent and ``n_i`` are halved; the other axes ride along in
+    the numerator.  A halving costs ``O(d_i * D)`` ring multiplies, where
+    ``d_i`` is the degree of ``q_i`` and ``D`` the number of numerator terms,
+    so an index costs ``O(log |n_i|)`` halvings per axis.
+
+    A negative ``n_i`` reads the series of the reversed rule: for a proper
+    fraction, ``x[-m] = [s^m] a_d^-1 s^d N(1/s) / q'(s)`` with
+    ``q'(s) = -a_d^-1 s^d q_i(1/s)``, which needs the trailing rule
+    coefficient ``a_d`` (minus the top coefficient of ``q_i``) to be a unit.
+
+    Only the numerator and the denominators are read, so for ``gf(seq)``
+    this checks terms computed by basis rows without sharing their code.
+    """
+    index = tuple(int(n) for n in index)
+    if len(index) != len(rational.variables):
+        raise IndexError(f"expected {len(rational.variables)} indices, got {len(index)}")
+    ring = rational.ring
+    num = dict(rational.numerator.value)
+    for axis, n in enumerate(index):
+        q = _dense(ring, rational.denominators[axis], axis)
+        if n < 0:
+            num, q = _reverse_axis(ring, num, q, axis)
+            n = -n
+        num = _halve_to(ring, num, q, n, axis)
+    return RingElement(ring, num.get((0,) * len(index), ring.payload_zero()))
+
+
+def _dense(ring: Ring, poly: RingElement, axis: int) -> list:
+    """Coefficient payloads of a one-axis polynomial, lowest degree first."""
+    degree = max(exps[axis] for exps in poly.value)
+    out = [ring.payload_zero()] * (degree + 1)
+    for exps, c in poly.value.items():
+        out[exps[axis]] = c
+    return out
+
+
+def _reverse_axis(ring: Ring, num: dict, q: list, axis: int):
+    """Numerator and denominator whose series along ``axis`` lists the
+    terms at ``0, -1, -2, ...``: ``a_d^-1 s^d N(1/s)`` over ``q'(s)``."""
+    zero = ring.payload_zero()
+    num = {e: c for e, c in num.items() if c != zero}
+    d = len(q) - 1
+    # a numerator of degree >= d along the axis needs a longer rule, whose
+    # trailing coefficient is 0
+    proper = all(e[axis] < d for e in num)
+    trailing = ring.neg(q[d]) if proper else zero
+    inv = ring.try_invert(trailing)
+    if inv is None:
+        raise NotInvertibleError(
+            f"trailing coefficient {ring.format(trailing)} is not a unit in "
+            f"{ring.describe()}; cannot step backward"
+        )
+    reflected = {
+        e[:axis] + (d - e[axis],) + e[axis + 1 :]: ring.mul(inv, c)
+        for e, c in num.items()
+    }
+    minus_inv = ring.neg(inv)
+    return reflected, [ring.mul(minus_inv, c) for c in reversed(q)]
+
+
+def _halve_to(ring: Ring, num: dict, q: list, n: int, axis: int) -> dict:
+    """``[t^n] num / q`` along ``axis``: a numerator over the other axes,
+    every term with exponent 0 on ``axis``."""
+    add, sub, mul = ring.add, ring.sub, ring.mul
+    zero = ring.payload_zero()
+    while True:
+        # terms above t^n cannot reach the coefficient of t^n
+        num = {e: c for e, c in num.items() if e[axis] <= n}
+        if n == 0:
+            return num
+        q = q[: n + 1]
+        half = {}
+        for exps, c in num.items():
+            e = exps[axis]
+            # q(-t) terms whose exponent brings e to the parity of n
+            for j in range((e ^ n) & 1, len(q), 2):
+                key = exps[:axis] + ((e + j) >> 1,) + exps[axis + 1 :]
+                p = mul(c, q[j])
+                prev = half.get(key, zero)
+                half[key] = sub(prev, p) if j & 1 else add(prev, p)
+        num = half
+        q = _even_part_of_q_times_q_neg(ring, q)
+        n >>= 1
+
+
+def _even_part_of_q_times_q_neg(ring: Ring, q: list) -> list:
+    """``q(t) q(-t)`` has only even powers; its coefficients at ``t^(2k)``
+    are ``sum_i (-1)^i q_i q_(2k-i)``, each pair counted once and doubled."""
+    add, sub, mul = ring.add, ring.sub, ring.mul
+    size = len(q)
+    out = []
+    for k in range(size):
+        s = ring.payload_zero()
+        for i in range(max(0, 2 * k - size + 1), k):
+            p = mul(q[i], q[2 * k - i])
+            s = sub(s, p) if i & 1 else add(s, p)
+        s = add(s, s)
+        p = mul(q[k], q[k])
+        out.append(sub(s, p) if k & 1 else add(s, p))
+    return out
 
 
 def expand(rational: RationalGF, orders) -> TruncatedSeries:

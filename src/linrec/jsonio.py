@@ -93,7 +93,7 @@ def ring_from_json(obj, path: str = "ring") -> Ring:
                 modulus = int(obj[2:])
             except ValueError:
                 raise SchemaError(f"{path}: bad modulus in {obj!r}") from None
-            return IntegerModRing(modulus)
+            return _mod_ring(modulus, path)
         raise SchemaError(f"{path}: unknown ring {obj!r}")
     if isinstance(obj, dict):
         kind = obj.get("kind")
@@ -103,9 +103,9 @@ def ring_from_json(obj, path: str = "ring") -> Ring:
             return QQ
         if kind == "mod":
             modulus = obj.get("modulus")
-            if not isinstance(modulus, int):
+            if not _is_int(modulus):
                 raise SchemaError(f"{path}.modulus: expected an integer")
-            return IntegerModRing(modulus)
+            return _mod_ring(modulus, f"{path}.modulus")
         if kind == "product":
             return ProductRing(
                 ring_from_json(_get(obj, "left", path), f"{path}.left"),
@@ -113,10 +113,15 @@ def ring_from_json(obj, path: str = "ring") -> Ring:
             )
         if kind == "polynomial":
             variables = _get(obj, "variables", path)
-            if not isinstance(variables, list) or not all(
-                isinstance(v, str) for v in variables
+            if (
+                not isinstance(variables, list)
+                or not variables
+                or not all(isinstance(v, str) and v for v in variables)
+                or len(set(variables)) != len(variables)
             ):
-                raise SchemaError(f"{path}.variables: expected a list of names")
+                raise SchemaError(
+                    f"{path}.variables: expected a non-empty list of distinct names"
+                )
             return PolynomialRing(
                 ring_from_json(_get(obj, "base", path), f"{path}.base"),
                 tuple(variables),
@@ -125,11 +130,19 @@ def ring_from_json(obj, path: str = "ring") -> Ring:
     raise SchemaError(f"{path}: expected a ring description, got {obj!r}")
 
 
+def _mod_ring(modulus: int, path: str) -> IntegerModRing:
+    if modulus < 2:
+        raise SchemaError(f"{path}: modulus must be >= 2, got {modulus}")
+    return IntegerModRing(modulus)
+
+
 def element_to_json(element: RingElement):
     return element.ring.to_json(element.value)
 
 
 def element_from_json(ring: Ring, obj, path: str = "element") -> RingElement:
+    if not isinstance(obj, str) and _has_bool(obj):
+        raise SchemaError(f"{path}: true and false are not ring elements")
     try:
         return RingElement(ring, ring.from_json(obj))
     except SchemaError as exc:
@@ -167,7 +180,7 @@ def block_from_json(ring: Ring, obj, rank: int, path: str = "block") -> Block:
         raise SchemaError(f"{path}: expected an object with shape and data")
     shape = _get(obj, "shape", path)
     if not isinstance(shape, list) or not all(
-        isinstance(d, int) and d >= 1 for d in shape
+        _is_int(d) and d >= 1 for d in shape
     ):
         raise SchemaError(f"{path}.shape: expected a list of positive integers")
     data = _get(obj, "data", path)
@@ -219,7 +232,7 @@ def spec_from_json(obj) -> SpecFile:
         raise SchemaError("spec: expected a JSON object")
     ring = ring_from_json(_get(obj, "ring", "spec"), "spec.ring")
     rank = _get(obj, "module_rank", "spec")
-    if not isinstance(rank, int) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise SchemaError("spec.module_rank: expected a positive integer")
     axes_json = _get(obj, "axes", "spec")
     if not isinstance(axes_json, list) or not axes_json:
@@ -280,6 +293,21 @@ def load_spec(path) -> SpecFile:
 def save_spec(path, seq, roots=None):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_spec(seq, roots))
+
+
+def _is_int(value) -> bool:
+    """Whether a JSON value is an integer; ``true`` and ``false`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _has_bool(obj) -> bool:
+    if isinstance(obj, bool):
+        return True
+    if isinstance(obj, list):
+        return any(_has_bool(v) for v in obj)
+    if isinstance(obj, dict):
+        return any(_has_bool(v) for v in obj.values())
+    return False
 
 
 def _get(obj: dict, key: str, path: str):

@@ -32,13 +32,22 @@ _MEMO_LIMIT = 500_000
 
 
 class MultiSpec:
-    """Ring plus one recurrence per axis."""
+    """Ring plus one recurrence per axis.
+
+    A :class:`Recurrence` object given for several axes is copied, so that
+    each axis keeps its own last basis row."""
 
     def __init__(self, ring: Ring, axis_coeffs):
-        axes = tuple(
-            c if isinstance(c, Recurrence) else Recurrence(ring, c)
-            for c in axis_coeffs
-        )
+        axes = []
+        for c in axis_coeffs:
+            if not isinstance(c, Recurrence):
+                c = Recurrence(ring, c)
+            elif any(c is ax for ax in axes):
+                # one object on two axes would re-power both rows on every
+                # lookup of a scan
+                c = Recurrence(c.ring, c.coeffs)
+            axes.append(c)
+        axes = tuple(axes)
         if not axes:
             raise ValueError("a spec needs at least one axis")
         for ax in axes:

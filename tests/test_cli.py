@@ -1,6 +1,7 @@
 """Command-line behavior: golden outputs, formats, exit codes."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from linrec.multiseq import (
     tensor_product,
 )
 from linrec.recurrence import Recurrence, Sequence
-from linrec.rings import ZZ
+from linrec.rings import ZZ, IntegerModRing
 
 DATA = Path(__file__).parent / "data"
 GRID = str(DATA / "grid_intro.json")
@@ -29,6 +30,91 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+P = 2**61 - 1
+FAR_RULES = [(1, 1), (2, 7, 1), (5, 9)]
+FAR_CASES = [
+    (ndim, sign) for ndim in (1, 2, 3) for sign in (1, -1)
+]
+
+
+def far_spec(tmp_path, ndim):
+    """A Z/(2^61-1) spec with ``ndim`` axes; every rule has a unit ``a_d``."""
+    ring = IntegerModRing(P)
+    spec = MultiSpec(ring, FAR_RULES[:ndim])
+    size = 1
+    for d in spec.shape:
+        size *= d
+    entries = [3 * i + 1 for i in range(size)]
+    path = tmp_path / f"far{ndim}.json"
+    save_spec(path, MultiSequence(spec, Block(ring, spec.shape, entries)))
+    return str(path), entries
+
+
+def x_power_mod(coeffs, n):
+    """Coefficients of ``x^n`` modulo ``x^d - a_1 x^(d-1) - ... - a_d`` over
+    Z/P by schoolbook products; ``x^-1`` is ``a_d^-1 (x^(d-1) - a_1 x^(d-2)
+    - ... - a_(d-1))``."""
+    d = len(coeffs)
+
+    def mul_mod(u, v):
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                prod[i + j] = (prod[i + j] + a * b) % P
+        for k in range(2 * d - 2, d - 1, -1):
+            top, prod[k] = prod[k], 0
+            for j, a in enumerate(coeffs, start=1):
+                prod[k - j] = (prod[k - j] + top * a) % P
+        return prod[:d]
+
+    if n >= 0:
+        base = [0, 1] + [0] * (d - 2) if d > 1 else [coeffs[0] % P]
+    else:
+        inv = pow(coeffs[-1], -1, P)
+        base = [-inv * a % P for a in coeffs[-2::-1]] + [inv]
+    row = [1] + [0] * (d - 1)
+    for bit in bin(abs(n))[2:]:
+        row = mul_mod(row, row)
+        if bit == "1":
+            row = mul_mod(row, base)
+    return row
+
+
+def far_value(ndim, entries, index) -> int:
+    rules = FAR_RULES[:ndim]
+    rows = [x_power_mod(rule, n) for rule, n in zip(rules, index)]
+    total = 0
+    for entry, j in zip(entries, box_indices([len(r) for r in rules])):
+        for row, i in zip(rows, j):
+            entry = entry * row[i] % P
+        total += entry
+    return total % P
+
+
+def far_index(ndim, sign):
+    return tuple(sign * (10**18 + k) for k in (0, -1, 3)[:ndim])
+
+
+def fib_pair(n):
+    """``(F(n), F(n + 1))`` by fast doubling."""
+    if n == 0:
+        return 0, 1
+    a, b = fib_pair(n >> 1)
+    c = a * (2 * b - a)
+    d = a * a + b * b
+    return (d, c + d) if n & 1 else (c, d)
+
+
+def decimal(n: int) -> str:
+    """``str(n)`` at any size, leaving the interpreter's digit limit as it was."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestTerm:
@@ -66,10 +152,101 @@ class TestTerm:
         assert code == 3
         assert "not invertible" in err.lower() or "unit" in err.lower()
 
+    @pytest.mark.parametrize("ndim, sign", FAR_CASES)
+    def test_far_index_matches_independent_powering(self, capsys, tmp_path, ndim, sign):
+        path, entries = far_spec(tmp_path, ndim)
+        index = far_index(ndim, sign)
+        code, out, _ = run(
+            capsys, "term", "--spec", path, "--", ",".join(map(str, index))
+        )
+        assert code == 0
+        assert out == f"{far_value(ndim, entries, index)}\n"
+
     def test_missing_spec_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["term", "3,3"])
         assert exc.value.code == 2
+
+
+class TestExactOutput:
+    def test_term_prints_every_digit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "term", "--spec", FIB, "25000")
+        assert code == 0
+        assert out == decimal(fib_pair(25000)[0]) + "\n"
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_basis_prints_every_digit(self, capsys):
+        # at the default limit of 4300 digits this needs `basis 21000`,
+        # whose quadratic int-to-str conversions take seconds; the lowest
+        # limit Python allows, 640 digits, is passed from row 3065 on
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, _ = run(capsys, "basis", "--spec", FIB, "3100")
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 3101
+        # row n is (F(n-1), F(n)); the last row is the widest
+        for n in (1, 640, 3065, 3100):
+            assert lines[n].split() == [decimal(v) for v in fib_pair(n - 1)]
+        assert lines[-1] == " ".join(decimal(v) for v in fib_pair(3099))
+
+    def test_limit_restored_after_an_error(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, _, _ = run(capsys, "term", "--spec", FIB, "--", "1,2")
+        assert code == 2
+        assert sys.get_int_max_str_digits() == limit
+
+
+class TestSchemaErrors:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ring", "Z/1"),
+            ("ring", "Z/0"),
+            ("ring", "Z/-7"),
+            ("ring", {"kind": "mod", "modulus": 1}),
+            ("ring", {"kind": "mod", "modulus": True}),
+            ("ring", {"kind": "polynomial", "base": "Z", "variables": ["r", "r"]}),
+            ("ring", {"kind": "polynomial", "base": "Z", "variables": []}),
+            ("module_rank", True),
+        ],
+        ids=[
+            "Z/1", "Z/0", "Z/-7", "mod-1", "mod-true",
+            "duplicate-variables", "no-variables", "rank-true",
+        ],
+    )
+    def test_exit_2(self, capsys, tmp_path, field, value):
+        obj = json.loads(Path(FIB).read_text())
+        obj[field] = value
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "term", "--spec", str(spec), "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: spec.")
+
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            # an order-1 rule, so that a shape of [true] would match it
+            ({"axes": [{"coeffs": ["2"]}], "initial": {"shape": [True], "data": ["5"]}}, "shape"),
+            ({"axes": [{"coeffs": ["1", True]}]}, "coeffs"),
+        ],
+        ids=["shape-true", "coefficient-true"],
+    )
+    def test_booleans_are_not_integers(self, capsys, tmp_path, changes, named):
+        obj = json.loads(Path(FIB).read_text())
+        obj.update(changes)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "term", "--spec", str(spec), "3")
+        assert code == 2
+        assert named in err
 
 
 class TestWindow:
@@ -290,18 +467,32 @@ class TestBench:
         assert code == 0
         assert "check: OK" in out
 
+    @pytest.mark.parametrize("ndim, sign", FAR_CASES)
+    def test_check_at_far_indices(self, capsys, tmp_path, ndim, sign):
+        path, _ = far_spec(tmp_path, ndim)
+        index = ",".join(map(str, far_index(ndim, sign)))
+        code, out, _ = run(capsys, "bench", "--spec", path, "--check", "--", index)
+        assert code == 0
+        assert out.endswith("check: OK\n")
+
     @pytest.mark.parametrize(
-        "spec, index", [(MERSENNE, "1000"), (GRID, "5,6")], ids=["one-axis", "two-axes"]
+        "spec, index",
+        [(MERSENNE, "1000"), (GRID, "5,6"), (MERSENNE, "-1000"), (3, "-40,7,1000")],
+        ids=["one-axis", "two-axes", "negative", "three-axes"],
     )
-    def test_check_catches_wrong_basis_rows(self, capsys, monkeypatch, spec, index):
+    def test_check_catches_wrong_basis_rows(
+        self, capsys, monkeypatch, tmp_path, spec, index
+    ):
+        if spec == 3:
+            spec, _ = far_spec(tmp_path, 3)
         original = Recurrence.basis_row
 
         def corrupted(rec, n):
             row = original(rec, n)
-            return row if n < rec.order else tuple(v + 1 for v in row)
+            return row if 0 <= n < rec.order else tuple(v + 1 for v in row)
 
         monkeypatch.setattr(Recurrence, "basis_row", corrupted)
-        code, out, err = run(capsys, "bench", "--spec", spec, index, "--check")
+        code, out, err = run(capsys, "bench", "--spec", spec, "--check", "--", index)
         assert code == 3
         assert "check: MISMATCH" in err
         assert "check: OK" not in out

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linrec.errors import RingMismatchError
+from conftest import elements
+from linrec.errors import NotInvertibleError, RingMismatchError
 from linrec.genfun import (
     RationalGF,
     TruncatedSeries,
+    coefficient,
     expand,
     gf,
     numerator_basis_polys,
@@ -19,7 +21,7 @@ from linrec.genfun import (
 )
 from linrec.multiseq import Block, MultiSequence, MultiSpec, box_indices
 from linrec.recurrence import Recurrence, Sequence
-from linrec.rings import QQ, ZZ, IntegerModRing, PolynomialRing
+from linrec.rings import QQ, ZZ, IntegerModRing, PolynomialRing, ProductRing
 
 
 def make(ring, axes, entries):
@@ -214,6 +216,77 @@ class TestInvariants:
         entries = [data.draw(st.integers(0, 12)) for _ in range(d1 * d2)]
         seq = make(ring, axes, entries)
         assert verify_gf(seq, (5, 5))
+
+
+COEFFICIENT_RINGS = [
+    ZZ,
+    QQ,
+    IntegerModRing(12),
+    ProductRing(ZZ, IntegerModRing(5)),
+    PolynomialRing(ZZ, ("r",)),
+]
+
+
+class TestCoefficient:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_expansion_and_rewriting(self, data):
+        ring = data.draw(st.sampled_from(COEFFICIENT_RINGS))
+        p = data.draw(st.integers(1, 3))
+        shape = tuple(data.draw(st.integers(1, 3 if p < 3 else 2)) for _ in range(p))
+        rank = data.draw(st.integers(1, 2))
+        small = elements(ring, 2)
+        # the trailing coefficient is often a unit, so that negative
+        # indices are reachable
+        trailing = st.sampled_from([ring.one, -ring.one]) | small
+        axes = [
+            [data.draw(small) for _ in range(d - 1)] + [data.draw(trailing)]
+            for d in shape
+        ]
+        size = 1
+        for d in shape:
+            size *= d
+        entries = [
+            [data.draw(small) for _ in range(rank)] for _ in range(size)
+        ]
+        seq = make(ring, axes, entries)
+        index = tuple(data.draw(st.integers(-12, 12)) for _ in range(p))
+        if any(n < 0 and ax[-1].is_zero() for n, ax in zip(index, axes)):
+            # the series then needs no unit a_d; only the rule is refused
+            with pytest.raises(NotInvertibleError):
+                seq.term(index)
+            return
+        try:
+            expected = seq.term(index).coords
+        except NotInvertibleError:
+            expected = None
+        for coord in range(rank):
+            rational = gf(seq, coord)
+            if expected is None:
+                with pytest.raises(NotInvertibleError):
+                    coefficient(rational, index)
+                continue
+            assert coefficient(rational, index) == expected[coord]
+            if min(index) >= 0:
+                assert coefficient(rational, index) == rational.expand(index).coefficient(index)
+
+    def test_far_index_matches_kernel(self):
+        ring = IntegerModRing(2**61 - 1)
+        seq = make(ring, [(3, 1, 4, 1), (5, 9)], list(range(1, 9)))
+        for index in [(10**18, -(10**18)), (-(10**15) - 3, 7), (0, 1)]:
+            assert coefficient(gf(seq), index) == seq.term_fast(index).scalar()
+
+    def test_non_unit_trailing_coefficient_refused_like_the_kernel(self):
+        seq = Sequence(Recurrence(ZZ, [1, 2]), [0, 1])
+        with pytest.raises(NotInvertibleError) as kernel:
+            seq.term(-1)
+        with pytest.raises(NotInvertibleError) as checker:
+            coefficient(gf(seq), (-1,))
+        assert str(checker.value) == str(kernel.value)
+
+    def test_index_length_checked(self, grid):
+        with pytest.raises(IndexError):
+            coefficient(gf(grid), (1,))
 
 
 class TestValidation:

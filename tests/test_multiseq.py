@@ -394,6 +394,42 @@ class TestSymmetricHalves:
         with pytest.raises(HypothesisError):
             antisymmetrize(x, y)
 
+    def test_each_axis_steps_its_own_rule(self):
+        """A scan at ``(n, n + 7)`` takes one row step per axis and lookup,
+        as with two separate rules, instead of powering both rows again."""
+        ring = IntegerModRing(2**61 - 1)
+        calls = [0]
+        mul = ring.mul
+
+        def counted(x, y):
+            calls[0] += 1
+            return mul(x, y)
+
+        ring.mul = counted
+        coeffs = [3, 1, 4, 1]
+        d = len(coeffs)
+        x = make(ring, [coeffs], [1, 2, 3, 4])
+        y = make(ring, [coeffs], [5, 6, 7, 8])
+        halves = [symmetrize(x, y), antisymmetrize(x, y), tensor_product(x, x)]
+        separate = MultiSpec(ring, [Recurrence(ring, coeffs), Recurrence(ring, coeffs)])
+
+        def scan(seq):
+            calls[0] = 0
+            for n in range(10**6, 10**6 + 300):
+                seq.term_fast((n, n + 7))
+            return calls[0]
+
+        # two powerings, then per lookup one d-multiply step per axis and
+        # 2*d*d multiplies to weight and scale the block
+        power = 2 * d * d * (10**6 + 7).bit_length() + d
+        bound = 2 * power + 300 * (2 * d + 2 * d * d)
+        for seq in halves:
+            assert seq.spec.axes[0] is not seq.spec.axes[1]
+            assert seq.spec.axes[0] == seq.spec.axes[1]
+            count = scan(seq)
+            assert count == scan(MultiSequence(separate, seq.block))
+            assert count <= bound, count
+
 
 class TestDiagonalIdentities:
     def test_fixture_diagonal_values(self, fib2d):
