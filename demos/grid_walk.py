@@ -10,7 +10,6 @@ from linrec import (
     Sequence,
     ZZ,
     diagonal_identity_fib,
-    from_sequence,
     gf,
     tensor_product,
     verify_gf,
@@ -63,7 +62,7 @@ print("\ngenerating function of the seeded grid:")
 print("   ", gf(grid))
 print("series check through degree (8,8):", verify_gf(grid, (8, 8)))
 
-# Round trip: a one-axis sequence is the p=1 special case.
+# A Sequence is the p=1 special case, a one-axis grid with integer indices.
 lucas = Sequence(Recurrence(ZZ, [1, 1]), [2, 1])
 print("\nLucas numbers as a one-axis grid:",
-      [str(from_sequence(lucas).term((n,)).scalar()) for n in range(8)])
+      [str(lucas.term(n).scalar()) for n in range(8)])

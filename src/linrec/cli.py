@@ -38,6 +38,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from math import prod
 
 from .closedform import RootPair, gf_via_roots
 from .errors import (
@@ -58,6 +59,9 @@ from .orbits import (
 )
 
 __all__ = ["main"]
+
+#: Largest box ``window`` builds; it holds every cell before printing any.
+WINDOW_CELL_LIMIT = 10**6
 
 
 def main(argv=None) -> int:
@@ -110,7 +114,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "window", "Print a box of entries.")
     _spec_flag(p)
     p.add_argument("origin", help="comma-separated lower corner")
-    p.add_argument("shape", help="comma-separated box extents (all >= 1)")
+    p.add_argument(
+        "shape",
+        help="comma-separated box extents (all >= 1, at most "
+        f"{WINDOW_CELL_LIMIT} cells in all)",
+    )
     _format_flag(p)
     p.set_defaults(handler=_cmd_window)
 
@@ -288,9 +296,6 @@ def _print_block_grid(block):
 
 def _print_block_csv(block):
     shape = block.shape
-    if len(shape) == 1:
-        print(",".join(_entry_str(block.at((j,))) for j in range(shape[0])))
-        return
     for tail in box_indices(shape[1:]):
         print(
             ",".join(
@@ -322,6 +327,11 @@ def _cmd_window(args) -> int:
     shape = _parse_index(args.shape, seq.ndim, what="shape")
     if any(d < 1 for d in shape):
         raise SchemaError(f"bad shape {args.shape!r}: extents must be >= 1")
+    if prod(shape) > WINDOW_CELL_LIMIT:
+        raise SchemaError(
+            f"bad shape {args.shape!r}: {prod(shape)} cells exceed the limit "
+            f"of {WINDOW_CELL_LIMIT}"
+        )
     block = seq.window(origin, shape)
     if args.format == "grid":
         _print_block_grid(block)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import NotInvertibleError, SpecMismatchError
 from .genfun import RationalGF, gf
-from .multiseq import MultiSequence, box_indices
+from .multiseq import MultiSequence, row_products, weighted_sum
 from .recurrence import Recurrence
 from .rings import ModuleElement, PolynomialRing, Ring, RingElement
 
@@ -136,19 +136,10 @@ def term_via_roots(
     term is returned and ``delta`` must be a unit.  Negative indices need
     unit roots."""
     roots.require_match(mseq)
-    index = tuple(int(n) for n in index)
-    if len(index) != mseq.ndim:
-        raise IndexError(f"expected {mseq.ndim} indices, got {len(index)}")
     rows = [
-        (S_value(0, n, roots), S_value(1, n, roots)) for n in index
+        (S_value(0, n, roots), S_value(1, n, roots)) for n in mseq._index(index)
     ]
-    total = None
-    for j in box_indices(mseq.spec.shape):
-        weight = rows[0][j[0]]
-        for axis in range(1, mseq.ndim):
-            weight = weight * rows[axis][j[axis]]
-        part = mseq.block.at(j).scale(weight)
-        total = part if total is None else total + part
+    total = weighted_sum(mseq.block.entries, row_products(rows))
     if division_free:
         return total
     inv = roots.delta.try_invert()

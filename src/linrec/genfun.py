@@ -7,9 +7,9 @@ a_d t^d`` and ``N(t) = sum_i Q_i(t) x[i]`` where ``Q_i(t) = t^i (1 - a_1 t
 numerator factor per axis against each initial value and divides by the
 product of the per-axis ``q_i``.
 
-``expand`` recovers series coefficients exactly without any division: since
-every ``q_i`` has constant term 1, the coefficient hypercube satisfies
-``c[n] = p[n] + sum_j a_j c[n - j]`` along each axis in turn.
+:meth:`RationalGF.expand` recovers series coefficients exactly without any
+division: since every ``q_i`` has constant term 1, the coefficient hypercube
+satisfies ``c[n] = p[n] + sum_j a_j c[n - j]`` along each axis in turn.
 ``coefficient`` reads a single coefficient by Bostan-Mori halving, in a
 number of ring operations logarithmic in each index.
 
@@ -19,8 +19,10 @@ beyond that.
 
 from __future__ import annotations
 
+from math import prod
+
 from .errors import NotInvertibleError, RingMismatchError
-from .multiseq import _as_multi, box_indices
+from .multiseq import MultiSequence, box_indices, flat_index, row_products
 from .recurrence import Recurrence
 from .rings import PolynomialRing, Ring, RingElement
 
@@ -34,30 +36,23 @@ def series_variables(p: int) -> tuple[str, ...]:
     return tuple(f"t{i}" for i in range(1, p + 1))
 
 
+def _rule_poly(rec: Recurrence, variable: str, low: int, terms: int) -> RingElement:
+    """``t^low (1 - a_1 t - ... - a_terms t^terms)`` as a univariate polynomial."""
+    payload = {(low,): rec.ring.payload_one()}
+    for j, a in enumerate(rec.coeffs[:terms], start=1):
+        payload[(low + j,)] = rec.ring.neg(a.value)
+    return PolynomialRing(rec.ring, (variable,))(payload)
+
+
 def q_poly(rec: Recurrence, variable: str = "t") -> RingElement:
     """Denominator ``1 - a_1 t - ... - a_d t^d`` as a univariate polynomial."""
-    ring = PolynomialRing(rec.ring, (variable,))
-    payload = {(0,): rec.ring.payload_one()}
-    for j, a in enumerate(rec.coeffs, start=1):
-        neg = rec.ring.neg(a.value)
-        if neg != rec.ring.payload_zero():
-            payload[(j,)] = neg
-    return ring(payload)
+    return _rule_poly(rec, variable, 0, rec.order)
+
 
 def numerator_basis_polys(rec: Recurrence, variable: str = "t") -> list[RingElement]:
     """The ``d`` numerator building blocks ``Q_0, ..., Q_{d-1}``, where
     ``Q_i = t^i (1 - a_1 t - ... - a_{d-i-1} t^{d-i-1})``."""
-    ring = PolynomialRing(rec.ring, (variable,))
-    zero = rec.ring.payload_zero()
-    out = []
-    for i in range(rec.order):
-        payload = {(i,): rec.ring.payload_one()}
-        for j in range(1, rec.order - i):
-            neg = rec.ring.neg(rec.coeffs[j - 1].value)
-            if neg != zero:
-                payload[(i + j,)] = neg
-        out.append(ring(payload))
-    return out
+    return [_rule_poly(rec, variable, i, rec.order - i - 1) for i in range(rec.order)]
 
 
 def _embed(poly: RingElement, target: PolynomialRing, axis: int) -> RingElement:
@@ -82,12 +77,11 @@ class TruncatedSeries:
         if any(o < 0 for o in self.orders):
             raise ValueError(f"negative order bounds {self.orders}")
         self.shape = tuple(o + 1 for o in self.orders)
-        size = 1
-        for d in self.shape:
-            size *= d
         coeffs = tuple(ring(c) for c in coeffs)
-        if len(coeffs) != size:
-            raise ValueError(f"expected {size} coefficients, got {len(coeffs)}")
+        if len(coeffs) != prod(self.shape):
+            raise ValueError(
+                f"expected {prod(self.shape)} coefficients, got {len(coeffs)}"
+            )
         self.coeffs = coeffs
 
     @classmethod
@@ -98,13 +92,10 @@ class TruncatedSeries:
             raise RingMismatchError("expected a polynomial element")
         orders = tuple(int(o) for o in orders)
         shape = tuple(o + 1 for o in orders)
-        size = 1
-        for d in shape:
-            size *= d
-        flat = [ring.base.payload_zero()] * size
+        flat = [ring.base.payload_zero()] * prod(shape)
         for exps, c in poly.value.items():
             if all(e <= o for e, o in zip(exps, orders)):
-                flat[_flat_pos(shape, exps)] = c
+                flat[flat_index(shape, exps)] = c
         return cls(
             ring.base,
             ring.variables,
@@ -118,7 +109,7 @@ class TruncatedSeries:
             raise IndexError(f"expected {len(self.shape)} indices")
         if any(not 0 <= n < d for n, d in zip(index, self.shape)):
             raise IndexError(f"index {index} beyond truncation {self.orders}")
-        return self.coeffs[_flat_pos(self.shape, index)]
+        return self.coeffs[flat_index(self.shape, index)]
 
     def mul_poly(self, poly: RingElement) -> TruncatedSeries:
         """Truncated product with a polynomial from the matching ring."""
@@ -134,7 +125,7 @@ class TruncatedSeries:
             for idx in box_indices(self.shape):
                 target = tuple(n + e for n, e in zip(idx, exps))
                 if all(t <= o for t, o in zip(target, self.orders)):
-                    pos = _flat_pos(self.shape, target)
+                    pos = flat_index(self.shape, target)
                     flat[pos] = flat[pos] + ce * self.coefficient(idx)
         return TruncatedSeries(self.ring, self.variables, self.orders, flat)
 
@@ -153,15 +144,6 @@ class TruncatedSeries:
             f"TruncatedSeries({self.ring.describe()}, {self.variables}, "
             f"orders={self.orders})"
         )
-
-
-def _flat_pos(shape, index) -> int:
-    pos = 0
-    stride = 1
-    for n, d in zip(index, shape):
-        pos += n * stride
-        stride *= d
-    return pos
 
 
 class RationalGF:
@@ -248,13 +230,13 @@ class RationalGF:
                 continue
             for idx in box_indices(shape):
                 n = idx[axis]
-                pos = _flat_pos(shape, idx)
+                pos = flat_index(shape, idx)
                 total = flat[pos]
                 for j, a in enumerate(coeffs, start=1):
                     if n - j < 0:
                         break
                     dep = idx[:axis] + (n - j,) + idx[axis + 1 :]
-                    total = total + a * flat[_flat_pos(shape, dep)]
+                    total = total + a * flat[flat_index(shape, dep)]
                 flat[pos] = total
         return TruncatedSeries(self.ring, self.variables, orders, flat)
 
@@ -292,28 +274,25 @@ class RationalGF:
         )
 
 
-def gf(seq, coordinate: int | None = None) -> RationalGF:
+def gf(seq: MultiSequence, coordinate: int | None = None) -> RationalGF:
     """The rational generating function of a sequence.
 
     Scalar sequences need no ``coordinate``; for rank ``m`` values pass the
     coordinate (0-based) whose series is wanted.
     """
-    mseq = _as_multi(seq)
     if coordinate is None:
-        if mseq.rank != 1:
+        if seq.rank != 1:
             raise RingMismatchError(
-                f"rank {mseq.rank} sequence: pass coordinate=0..{mseq.rank - 1}"
+                f"rank {seq.rank} sequence: pass coordinate=0..{seq.rank - 1}"
             )
         coordinate = 0
-    elif not 0 <= coordinate < mseq.rank:
+    elif not 0 <= coordinate < seq.rank:
         raise IndexError(f"coordinate {coordinate} out of range")
-    ring = mseq.ring
-    p = mseq.ndim
-    names = series_variables(p)
-    poly_ring = PolynomialRing(ring, names)
+    names = series_variables(seq.ndim)
+    poly_ring = PolynomialRing(seq.ring, names)
     axis_q = []
     axis_numer = []
-    for axis, rec in enumerate(mseq.spec.axes):
+    for axis, rec in enumerate(seq.spec.axes):
         axis_q.append(_embed(q_poly(rec, names[axis]), poly_ring, axis))
         axis_numer.append(
             [
@@ -322,12 +301,8 @@ def gf(seq, coordinate: int | None = None) -> RationalGF:
             ]
         )
     numerator = poly_ring.zero
-    for idx in box_indices(mseq.spec.shape):
-        weight = axis_numer[0][idx[0]]
-        for axis in range(1, p):
-            weight = weight * axis_numer[axis][idx[axis]]
-        value = mseq.block.at(idx)[coordinate]
-        numerator = numerator + weight * poly_ring.constant(value)
+    for weight, entry in zip(row_products(axis_numer), seq.block.entries):
+        numerator = numerator + weight * poly_ring.constant(entry[coordinate])
     return RationalGF(numerator, axis_q)
 
 
@@ -439,18 +414,12 @@ def _even_part_of_q_times_q_neg(ring: Ring, q: list) -> list:
     return out
 
 
-def expand(rational: RationalGF, orders) -> TruncatedSeries:
-    """Module-level spelling of :meth:`RationalGF.expand`."""
-    return rational.expand(orders)
-
-
-def verify_gf(seq, orders) -> bool:
+def verify_gf(seq: MultiSequence, orders) -> bool:
     """Whether the expanded generating functions reproduce every term of the
     sequence inside the bounds, exactly, one series per coordinate."""
-    mseq = _as_multi(seq)
-    for coord in range(mseq.rank):
-        series = gf(mseq, coord).expand(orders)
-        for idx in box_indices(series.shape):
-            if series.coefficient(idx) != mseq.term(idx).coords[coord]:
-                return False
-    return True
+    series = [gf(seq, coord).expand(orders) for coord in range(seq.rank)]
+    box = seq.window((0,) * seq.ndim, series[0].shape)
+    return all(
+        tuple(s.coeffs[pos] for s in series) == entry.coords
+        for pos, entry in enumerate(box.entries)
+    )

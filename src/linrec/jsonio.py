@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import prod
 
 from .errors import SchemaError
-from .multiseq import Block, MultiSequence, MultiSpec, from_sequence
-from .recurrence import Sequence
+from .multiseq import Block, MultiSequence, MultiSpec
 from .rings import (
     QQ,
     ZZ,
@@ -186,9 +186,7 @@ def block_from_json(ring: Ring, obj, rank: int, path: str = "block") -> Block:
     data = _get(obj, "data", path)
     if not isinstance(data, list):
         raise SchemaError(f"{path}.data: expected an array")
-    size = 1
-    for d in shape:
-        size *= d
+    size = prod(shape)
     if len(data) != size:
         raise SchemaError(
             f"{path}.data: shape {shape} needs {size} entries, got {len(data)}"
@@ -208,10 +206,8 @@ class SpecFile:
     roots: tuple[RingElement, RingElement] | None = None
 
 
-def sequence_to_json(seq, roots=None) -> dict:
+def sequence_to_json(seq: MultiSequence, roots=None) -> dict:
     """Full JSON description of a sequence (one-axis or multi-axis)."""
-    if isinstance(seq, Sequence):
-        seq = from_sequence(seq)
     out = {
         "ring": ring_to_json(seq.ring),
         "module_rank": seq.rank,

@@ -14,6 +14,9 @@ per-axis canonical-solution rows (:meth:`Recurrence.basis_row`, the
 coefficients of ``x^n`` modulo the axis rule), which is logarithmic in each
 index.
 
+A :class:`Sequence` is the one-axis case, indexed by plain integers: its
+``term`` is the contraction, and ``iter_terms`` steps the rule forward.
+
 The constructions at the bottom (tensor product, direct sums, the
 symmetric and antisymmetric halves, diagonal identities) combine or probe
 sequences without ever leaving exact arithmetic.
@@ -22,9 +25,10 @@ sequences without ever leaving exact arithmetic.
 from __future__ import annotations
 
 from itertools import product as _iter_product
+from math import prod
 
 from .errors import HypothesisError, RingMismatchError
-from .recurrence import Recurrence, Sequence
+from .recurrence import Recurrence
 from .rings import ModuleElement, ProductRing, Ring, RingElement, as_module_element
 
 # per-instance term memo is cleared once it holds this many entries
@@ -87,12 +91,9 @@ class Block:
         if not shape or any(d < 1 for d in shape):
             raise ValueError(f"bad shape {shape}")
         entries = list(entries)
-        size = 1
-        for d in shape:
-            size *= d
-        if len(entries) != size:
+        if len(entries) != prod(shape):
             raise ValueError(
-                f"shape {shape} needs {size} entries, got {len(entries)}"
+                f"shape {shape} needs {prod(shape)} entries, got {len(entries)}"
             )
         first = as_module_element(ring, entries[0])
         self.ring = ring
@@ -114,14 +115,10 @@ class Block:
         index = tuple(index)
         if len(index) != len(self.shape):
             raise IndexError(f"index {index} does not match shape {self.shape}")
-        pos = 0
-        stride = 1
         for j, d in zip(index, self.shape):
             if not 0 <= j < d:
                 raise IndexError(f"index {index} outside shape {self.shape}")
-            pos += j * stride
-            stride *= d
-        return pos
+        return flat_index(self.shape, index)
 
     def at(self, index) -> ModuleElement:
         return self.entries[self.flat_index(index)]
@@ -160,6 +157,37 @@ def box_indices(shape):
         yield tuple(reversed(rev))
 
 
+def flat_index(shape, index) -> int:
+    """Position of ``index`` in a flat box of ``shape``, first axis fastest;
+    the index is not checked against the shape."""
+    pos = 0
+    stride = 1
+    for j, d in zip(index, shape):
+        pos += j * stride
+        stride *= d
+    return pos
+
+
+def row_products(rows) -> list:
+    """The weights ``rows[0][j_1] * ... * rows[p-1][j_p]`` for every ``j`` of
+    the box the rows span, first axis fastest."""
+    weights = list(rows[0])
+    for row in rows[1:]:
+        weights = [w * r for r in row for w in weights]
+    return weights
+
+
+def weighted_sum(values, weights) -> ModuleElement:
+    """``values[0] * weights[0] + values[1] * weights[1] + ...``: a block
+    contracted against :func:`row_products`, or a rule step
+    ``a_1*x[n-1] + ... + a_d*x[n-d]`` from ``x[n-1], ..., x[n-d]``."""
+    total = None
+    for v, w in zip(values, weights):
+        part = v.scale(w)
+        total = part if total is None else total + part
+    return total
+
+
 class MultiSequence:
     """A multi-indexed sequence determined by a spec and an initial block."""
 
@@ -186,8 +214,11 @@ class MultiSequence:
     def rank(self) -> int:
         return self.block.rank
 
-    def _default_priority(self) -> tuple[int, ...]:
-        return tuple(range(self.ndim, 0, -1))
+    def _index(self, index) -> tuple[int, ...]:
+        index = tuple(int(n) for n in index)
+        if len(index) != self.ndim:
+            raise IndexError(f"expected {self.ndim} indices, got {len(index)}")
+        return index
 
     def _choose_axis(self, index, priority) -> int | None:
         for axis in priority:
@@ -205,14 +236,7 @@ class MultiSequence:
             deps = [
                 index[:i] + (n - j,) + index[i + 1 :] for j in range(1, d + 1)
             ]
-
-            def combine(vals):
-                total = vals[0].scale(rec.coeffs[0])
-                for a, v in zip(rec.coeffs[1:], vals[1:]):
-                    total = total + v.scale(a)
-                return total
-
-            return deps, combine
+            return deps, lambda vals: weighted_sum(vals, rec.coeffs)
         # n < 0: step backward, needs a unit trailing coefficient
         inv = rec._trailing_inverse()
         deps = [index[:i] + (n + j,) + index[i + 1 :] for j in range(1, d + 1)]
@@ -232,11 +256,9 @@ class MultiSequence:
         several coordinates are outside the initial box; any order gives
         the same value.
         """
-        index = tuple(int(n) for n in index)
-        if len(index) != self.ndim:
-            raise IndexError(f"expected {self.ndim} indices, got {len(index)}")
+        index = self._index(index)
         if priority is None:
-            priority = self._default_priority()
+            priority = tuple(range(self.ndim, 0, -1))
         else:
             priority = tuple(priority)
             if sorted(priority) != list(range(1, self.ndim + 1)):
@@ -267,31 +289,21 @@ class MultiSequence:
     def term_fast(self, index) -> ModuleElement:
         """Value at ``index`` by contracting the block against per-axis
         canonical-solution rows (logarithmic in each index)."""
-        index = tuple(int(n) for n in index)
-        if len(index) != self.ndim:
-            raise IndexError(f"expected {self.ndim} indices, got {len(index)}")
+        index = self._index(index)
         rows = [ax.basis_row(n) for ax, n in zip(self.spec.axes, index)]
-        total = None
-        for j in box_indices(self.spec.shape):
-            weight = rows[0][j[0]]
-            for i in range(1, self.ndim):
-                weight = weight * rows[i][j[i]]
-            part = self.block.at(j).scale(weight)
-            total = part if total is None else total + part
-        return total
+        return weighted_sum(self.block.entries, row_products(rows))
 
     def window(self, origin, shape=None) -> Block:
-        """The box of values with the given origin (defaults to spec shape)."""
-        origin = tuple(int(n) for n in origin)
-        if len(origin) != self.ndim:
-            raise IndexError(f"expected {self.ndim} indices, got {len(origin)}")
+        """The box of values with the given origin (defaults to spec shape),
+        each read from the rewriting memo."""
+        origin = self._index(origin)
         if shape is None:
             shape = self.spec.shape
         return Block(
             self.ring,
             shape,
             [
-                self.term(tuple(o + j for o, j in zip(origin, idx)))
+                MultiSequence.term(self, tuple(o + j for o, j in zip(origin, idx)))
                 for idx in box_indices(shape)
             ],
         )
@@ -306,7 +318,8 @@ class MultiSequence:
             raise IndexError(f"axis {axis} out of range for {self.ndim} axes")
         offsets = [0] * self.ndim
         offsets[axis - 1] = offset
-        return self.shift(offsets)
+        # the tuple form, which a Sequence's integer shift overrides
+        return MultiSequence.shift(self, offsets)
 
     def decompose(self) -> Block:
         """Coordinates with respect to products of per-axis canonical
@@ -322,11 +335,67 @@ class MultiSequence:
         return f"MultiSequence({self.spec!r}, {self.block!r})"
 
 
-def from_sequence(seq: Sequence) -> MultiSequence:
-    """View a one-dimensional sequence as a one-axis multi-sequence."""
-    spec = MultiSpec(seq.ring, [seq.recurrence])
-    block = Block(seq.ring, (seq.recurrence.order,), list(seq.initial))
-    return MultiSequence(spec, block)
+class Sequence(MultiSequence):
+    """A one-axis :class:`MultiSequence`, indexed by plain integers: a
+    recurrence solution with values in a free module of finite rank."""
+
+    def __init__(self, recurrence: Recurrence, initial):
+        ring = recurrence.ring
+        super().__init__(
+            MultiSpec(ring, [recurrence]), Block(ring, (recurrence.order,), initial)
+        )
+
+    @property
+    def recurrence(self) -> Recurrence:
+        return self.spec.axes[0]
+
+    @property
+    def initial(self) -> tuple[ModuleElement, ...]:
+        return self.block.entries
+
+    def term(self, n: int) -> ModuleElement:
+        """Value at index ``n``: the initial segment combined with the basis
+        row at ``n``, logarithmic in ``n`` and a single step next to the
+        previously requested index.  Negative ``n`` needs a unit trailing
+        coefficient."""
+        return super().term_fast((n,))
+
+    term_fast = term
+
+    def iter_terms(self, start: int = 0):
+        """Yield terms from ``start`` upward with constant memory."""
+        coeffs = self.recurrence.coeffs
+        # x[n-1], ..., x[n-d], read in ascending order so that each basis
+        # row is one step from the last
+        previous = [self.term(start + i) for i in range(len(coeffs))][::-1]
+        while True:
+            yield previous[-1]
+            previous.insert(0, weighted_sum(previous, coeffs))
+            previous.pop()
+
+    def shift(self, offset: int) -> Sequence:
+        """The sequence ``n -> x[n + offset]`` (same recurrence)."""
+        d = self.recurrence.order
+        return Sequence(self.recurrence, [self.term(offset + i) for i in range(d)])
+
+    def extend_backward(self, steps: int) -> list[ModuleElement]:
+        """Terms at ``-1, -2, ..., -steps`` (trailing coefficient must be a unit)."""
+        return [self.term(-k) for k in range(1, steps + 1)]
+
+    def decompose(self) -> tuple[ModuleElement, ...]:
+        """Coordinates with respect to the canonical solutions: the initial
+        segment, since ``x[n] = sum_i B_i[n] * x[i]``."""
+        return self.initial
+
+    def __repr__(self):
+        vals = ", ".join(str(v) for v in self.initial)
+        return f"Sequence({self.recurrence!r}, [{vals}])"
+
+
+def from_sequence(seq: MultiSequence) -> MultiSequence:
+    """View a sequence as a plain :class:`MultiSequence`, whose ``term`` is
+    the rewriting memo."""
+    return MultiSequence(seq.spec, seq.block)
 
 
 def reconstruct(spec: MultiSpec, block: Block) -> MultiSequence:
@@ -349,27 +418,16 @@ def check_membership(spec: MultiSpec, block: Block) -> bool:
                 f"axis {i + 1} needs at least {rec.order + 1} values to "
                 f"check, got {block.shape[i]}"
             )
+    entries = block.entries
     for i, rec in enumerate(spec.axes):
-        d = rec.order
-        for idx in box_indices(block.shape):
-            if idx[i] < d:
+        stride = prod(block.shape[:i])
+        for pos, idx in enumerate(box_indices(block.shape)):
+            if idx[i] < rec.order:
                 continue
-            total = None
-            for j, a in enumerate(rec.coeffs, start=1):
-                dep = idx[:i] + (idx[i] - j,) + idx[i + 1 :]
-                part = block.at(dep).scale(a)
-                total = part if total is None else total + part
-            if total != block.at(idx):
+            previous = [entries[pos - j * stride] for j in range(1, rec.order + 1)]
+            if weighted_sum(previous, rec.coeffs) != entries[pos]:
                 return False
     return True
-
-
-def _as_multi(x) -> MultiSequence:
-    if isinstance(x, Sequence):
-        return from_sequence(x)
-    if isinstance(x, MultiSequence):
-        return x
-    raise RingMismatchError(f"expected a sequence, got {x!r}")
 
 
 def _require_same_ring(x: MultiSequence, y: MultiSequence):
@@ -385,11 +443,10 @@ def tensor_product(*factors) -> MultiSequence:
         factors = tuple(factors[0])
     if not factors:
         raise ValueError("tensor product needs at least one factor")
-    seqs = [_as_multi(f) for f in factors]
-    for s in seqs[1:]:
-        _require_same_ring(seqs[0], s)
-    result = seqs[0]
-    for other in seqs[1:]:
+    for f in factors[1:]:
+        _require_same_ring(factors[0], f)
+    result = from_sequence(factors[0])
+    for other in factors[1:]:
         spec = MultiSpec(result.ring, result.spec.axes + other.spec.axes)
         p = result.ndim
         entries = [
@@ -403,13 +460,12 @@ def tensor_product(*factors) -> MultiSequence:
 def decompose_tensor(seq) -> Block:
     """Coordinates of a sequence over products of per-axis canonical
     solutions: its window at the origin, which is the initial block."""
-    return _as_multi(seq).decompose()
+    return seq.block
 
 
 def direct_sum(x, y) -> MultiSequence:
     """Componentwise juxtaposition of two sequences with the same spec;
     ranks add and each term projects back onto the summands."""
-    x, y = _as_multi(x), _as_multi(y)
     _require_same_ring(x, y)
     if x.spec != y.spec:
         raise RingMismatchError("direct sum needs a common spec")
@@ -432,17 +488,14 @@ def direct_sum_mixed(x: Sequence, y: Sequence) -> Sequence:
         (a.value, b.value)
         for a, b in zip(x.recurrence.coeffs, y.recurrence.coeffs)
     ]
-    initial = []
-    for a, b in zip(x.initial, y.initial):
-        coords = [
-            ring((ca.value, cb.value)) for ca, cb in zip(a.coords, b.coords)
-        ]
-        initial.append(ModuleElement(ring, coords))
+    initial = [
+        [(ca.value, cb.value) for ca, cb in zip(a.coords, b.coords)]
+        for a, b in zip(x.initial, y.initial)
+    ]
     return Sequence(Recurrence(ring, coeffs), initial)
 
 
 def _halved_product(x, y, sign: int) -> MultiSequence:
-    x, y = _as_multi(x), _as_multi(y)
     if x.ndim != 1 or y.ndim != 1:
         raise HypothesisError("symmetrization takes two one-axis sequences")
     _require_same_ring(x, y)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AmbiguousOrbitError, HypothesisError
-from .multiseq import Block, MultiSequence, MultiSpec, box_indices
+from .multiseq import Block, MultiSequence, MultiSpec, row_products
 from .rings import QQ, ZZ
 
 #: Default largest per-axis shift examined when classifying orbits.
@@ -205,13 +205,6 @@ def _determinant(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
-def _to_fraction(element) -> Fraction:
-    v = element.value
-    if isinstance(v, Fraction):
-        return v
-    return Fraction(v)
-
-
 def positions_determine(spec: MultiSpec, positions) -> bool:
     """Whether values at the given index pairs determine a scalar double
     sequence of this spec uniquely.
@@ -236,14 +229,11 @@ def positions_determine(spec: MultiSpec, positions) -> bool:
     if len(set(positions)) != len(positions):
         raise HypothesisError("positions must be pairwise distinct")
     ax1, ax2 = spec.axes
-    matrix = []
-    for n, k in positions:
-        row1 = ax1.basis_row(n)
-        row2 = ax2.basis_row(k)
-        matrix.append(
-            [
-                _to_fraction(row1[i]) * _to_fraction(row2[j])
-                for (i, j) in box_indices((d1, d2))
-            ]
-        )
+    matrix = [
+        [
+            Fraction(w.value)
+            for w in row_products([ax1.basis_row(n), ax2.basis_row(k)])
+        ]
+        for n, k in positions
+    ]
     return _determinant(matrix) != 0

@@ -1,11 +1,11 @@
-"""One-dimensional linear recurrences and their solution sequences.
+"""One-dimensional linear recurrence rules and their canonical solutions.
 
 A :class:`Recurrence` of order ``d`` over a ring fixes coefficients
 ``(a_1, ..., a_d)`` for the rule ``x[n+d] = a_1*x[n+d-1] + ... + a_d*x[n]``.
 Its canonical solutions ``B_i`` (``0 <= i < d``) are the scalar sequences
 with initial segment ``B_i[j] = delta(i, j)``; every solution with values in
-a free module is the combination ``x[n] = sum_i B_i[n] * x[i]``, which is
-what :meth:`Sequence.term` evaluates.
+a free module is the combination ``x[n] = sum_i B_i[n] * x[i]``, a
+one-axis :class:`~linrec.multiseq.Sequence` (importable from here too).
 
 The basis row ``(B_0[n], ..., B_{d-1}[n])`` is the coefficient vector of
 ``x^n mod chi`` with ``chi = x^d - a_1*x^(d-1) - ... - a_d`` (Fiduccia,
@@ -17,8 +17,8 @@ requested before.  Negative indices need a unit trailing coefficient
 
 from __future__ import annotations
 
-from .errors import NotInvertibleError, RingMismatchError
-from .rings import ModuleElement, Ring, RingElement, as_module_element
+from .errors import NotInvertibleError
+from .rings import Ring, RingElement
 
 
 class Recurrence:
@@ -129,87 +129,11 @@ class Recurrence:
         )
 
 
-class Sequence:
-    """A recurrence solution with values in a free module of finite rank."""
+def reconstruct(recurrence: Recurrence, coordinates):
+    """Rebuild a :class:`~linrec.multiseq.Sequence` from canonical-basis
+    coordinates (inverse of its ``decompose``)."""
+    from .multiseq import Sequence
 
-    def __init__(self, recurrence: Recurrence, initial):
-        initial = list(initial)
-        if len(initial) != recurrence.order:
-            raise ValueError(
-                f"expected {recurrence.order} initial values, got {len(initial)}"
-            )
-        ring = recurrence.ring
-        first = as_module_element(ring, initial[0])
-        rank = first.rank
-        self.recurrence = recurrence
-        self.initial = (first,) + tuple(
-            as_module_element(ring, v, rank) for v in initial[1:]
-        )
-
-    @property
-    def ring(self) -> Ring:
-        return self.recurrence.ring
-
-    @property
-    def rank(self) -> int:
-        return self.initial[0].rank
-
-    def _combine(self, row) -> ModuleElement:
-        total = self.initial[0].scale(row[0])
-        for coeff, value in zip(row[1:], self.initial[1:]):
-            total = total + value.scale(coeff)
-        return total
-
-    def term(self, n: int) -> ModuleElement:
-        """Value at index ``n``: the initial segment combined with the basis
-        row at ``n``, logarithmic in ``n`` and a single step next to the
-        previously requested index.  Negative ``n`` needs a unit trailing
-        coefficient."""
-        return self._combine(self.recurrence.basis_row(n))
-
-    term_fast = term
-
-    def iter_terms(self, start: int = 0):
-        """Yield terms from ``start`` upward with constant memory."""
-        d = self.recurrence.order
-        coeffs = self.recurrence.coeffs
-        window = [self.term(start + i) for i in range(d)]
-        while True:
-            yield window[0]
-            total = None
-            for j, a in enumerate(coeffs, start=1):
-                part = window[d - j].scale(a)
-                total = part if total is None else total + part
-            window.append(total)
-            del window[0]
-
-    def shift(self, offset: int) -> Sequence:
-        """The sequence ``n -> x[n + offset]`` (same recurrence)."""
-        d = self.recurrence.order
-        return Sequence(self.recurrence, [self.term(offset + i) for i in range(d)])
-
-    def extend_backward(self, steps: int) -> list[ModuleElement]:
-        """Terms at ``-1, -2, ..., -steps`` (trailing coefficient must be a unit)."""
-        return [self.term(-k) for k in range(1, steps + 1)]
-
-    def decompose(self) -> tuple[ModuleElement, ...]:
-        """Coordinates with respect to the canonical solutions: the initial
-        segment, since ``x[n] = sum_i B_i[n] * x[i]``."""
-        return self.initial
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return self.recurrence == other.recurrence and self.initial == other.initial
-
-    def __repr__(self):
-        vals = ", ".join(str(v) for v in self.initial)
-        return f"Sequence({self.recurrence!r}, [{vals}])"
-
-
-def reconstruct(recurrence: Recurrence, coordinates) -> Sequence:
-    """Rebuild a sequence from canonical-basis coordinates (inverse of
-    :meth:`Sequence.decompose`)."""
     return Sequence(recurrence, coordinates)
 
 
@@ -217,19 +141,20 @@ def check_membership(recurrence: Recurrence, values) -> bool:
     """Whether consecutive ``values`` satisfy the recurrence at every
     applicable index.  Needs at least ``order + 1`` values so that the rule
     is exercised at least once."""
-    ring = recurrence.ring
-    vals = [as_module_element(ring, v) for v in values]
-    for v in vals[1:]:
-        if v.rank != vals[0].rank:
-            raise RingMismatchError("values must share a rank")
-    d = recurrence.order
-    if len(vals) < d + 1:
-        raise ValueError(f"need at least {d + 1} values to check, got {len(vals)}")
-    for n in range(d, len(vals)):
-        total = None
-        for j, a in enumerate(recurrence.coeffs, start=1):
-            part = vals[n - j].scale(a)
-            total = part if total is None else total + part
-        if total != vals[n]:
-            return False
-    return True
+    from . import multiseq
+
+    values = list(values)
+    return multiseq.check_membership(
+        multiseq.MultiSpec(recurrence.ring, [recurrence]),
+        multiseq.Block(recurrence.ring, (len(values),), values),
+    )
+
+
+def __getattr__(name):
+    # Sequence is the one-axis MultiSequence; multiseq imports this module,
+    # so the name is resolved on first use
+    if name == "Sequence":
+        from .multiseq import Sequence
+
+        return Sequence
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

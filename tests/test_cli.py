@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from linrec.cli import main
+from linrec.cli import WINDOW_CELL_LIMIT, main
 from linrec.jsonio import block_from_json, load_spec, save_spec
 from linrec.multiseq import (
     Block,
@@ -265,6 +265,16 @@ class TestWindow:
         code, out, _ = run(capsys, "window", "--spec", GRID, "3,3", "1,1")
         assert code == 0
         assert out == "17\n"
+
+    @pytest.mark.parametrize("shape", ["100000,100000", "1000,1001"])
+    def test_box_above_the_cell_limit_is_refused(self, capsys, monkeypatch, shape):
+        def build(*args):
+            raise AssertionError("the box was built")
+
+        monkeypatch.setattr(MultiSequence, "window", build)
+        code, out, err = run(capsys, "window", "--spec", GRID, "0,0", shape)
+        assert (code, out) == (2, "")
+        assert f"limit of {WINDOW_CELL_LIMIT}" in err
 
     def test_csv_matches_terms(self, capsys, tmp_path):
         fib = Sequence(Recurrence(ZZ, [1, 1]), [0, 1])

@@ -12,7 +12,6 @@ from linrec.genfun import (
     RationalGF,
     TruncatedSeries,
     coefficient,
-    expand,
     gf,
     numerator_basis_polys,
     q_poly,
@@ -136,23 +135,23 @@ class TestGF:
 
 class TestExpand:
     def test_fibonacci_coefficients(self, fib):
-        series = expand(gf(fib), (8,))
+        series = gf(fib).expand((8,))
         got = [series.coefficient((n,)).value for n in range(9)]
         assert got == [0, 1, 1, 2, 3, 5, 8, 13, 21]
 
     def test_grid_coefficient(self, grid):
-        series = expand(gf(grid), (4, 4))
+        series = gf(grid).expand((4, 4))
         assert series.coefficient((0, 2)).value == 3
         assert series.coefficient((3, 3)).value == 17
 
     def test_zero_numerator(self):
-        series = expand(gf(make(ZZ, [(1, 1)], [0, 0])), (6,))
+        series = gf(make(ZZ, [(1, 1)], [0, 0])).expand((6,))
         assert all(
             series.coefficient((n,)).is_zero() for n in range(7)
         )
 
     def test_out_of_bounds_coefficient(self, fib):
-        series = expand(gf(fib), (4,))
+        series = gf(fib).expand((4,))
         with pytest.raises(IndexError):
             series.coefficient((5,))
 

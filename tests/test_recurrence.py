@@ -1,15 +1,25 @@
 """One-dimensional recurrences: canonical solutions, evaluation, shifts."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import elements
 from linrec.errors import NotInvertibleError
+from linrec.genfun import coefficient, gf
 from linrec.multiseq import from_sequence
 from linrec.recurrence import Recurrence, Sequence, check_membership, reconstruct
-from linrec.rings import QQ, ZZ, IntegerModRing, ModuleElement
+from linrec.rings import (
+    QQ,
+    ZZ,
+    IntegerModRing,
+    ModuleElement,
+    PolynomialRing,
+    ProductRing,
+)
 
 
 def plain_terms(coeffs, initial, count):
@@ -223,3 +233,51 @@ def test_random_sequences_satisfy_their_rule(data):
         rhs = rhs + a * seq.term(n + d - j).scalar()
     assert lhs == rhs
     assert seq.term_fast(n) == seq.term(n) == from_sequence(seq).term((n,))
+
+
+ONE_AXIS_RINGS = [
+    ZZ,
+    QQ,
+    IntegerModRing(12),
+    ProductRing(IntegerModRing(10**9 + 7), IntegerModRing(12)),
+    PolynomialRing(ZZ, ("r",)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_axis_paths_agree(data):
+    """term, iter_terms, shift, extend_backward and the generating function
+    all match the rewriting memo, for either sign of index where a_d is a
+    unit."""
+    ring = data.draw(st.sampled_from(ONE_AXIS_RINGS), label="ring")
+    d = data.draw(st.integers(1, 4), label="order")
+    rank = data.draw(st.integers(1, 2), label="rank")
+    value = elements(ring, 5)
+    coeffs = data.draw(st.lists(value, min_size=d, max_size=d), label="coeffs")
+    initial = data.draw(
+        st.lists(
+            st.lists(value, min_size=rank, max_size=rank), min_size=d, max_size=d
+        ),
+        label="initial",
+    )
+    seq = Sequence(Recurrence(ring, coeffs), initial)
+    low = -12 if coeffs[-1].try_invert() is not None else 0
+    start = data.draw(st.integers(low, 40), label="start")
+    n = data.draw(st.integers(low, 40), label="n")
+    # without a unit a_d the shifted sequence is read at n - k >= 0 only
+    k = data.draw(st.integers(low, 40) if low else st.integers(0, n), label="k")
+    memo = from_sequence(seq)
+
+    def want(m):
+        return memo.term((m,))
+
+    assert list(islice(seq.iter_terms(start), 41 - start)) == [
+        want(m) for m in range(start, 41)
+    ]
+    assert seq.term(n) == seq.term_fast(n) == want(n)
+    assert seq.shift(k).term(n - k) == want(n)
+    if low:
+        assert seq.extend_backward(12) == [want(-m) for m in range(1, 13)]
+    for c in range(rank):
+        assert coefficient(gf(seq, c), (n,)) == want(n).coords[c]
