@@ -48,7 +48,8 @@ show(ff, 7, 5)
 
 # When both rules are x -> x' + x'' the grid satisfies
 #   x[n,k+3] - x[n+3,k] == 2*(x[n+2,k+1] - x[n+1,k+2])
-# for every seed block; diagonal_identity_fib checks one position.
+# for every seed block: the relation reduces to zero modulo the two rules,
+# and diagonal_identity_fib evaluates it at one position.
 both_fib = MultiSequence(MultiSpec(ZZ, [[1, 1], [1, 1]]),
                          Block(ZZ, (2, 2), [3, 3, 2, 0]))
 print("\ncross-diagonal identity on a Fibonacci-ruled grid:")

@@ -81,23 +81,23 @@ def _check_index(i: int):
 
 def R_poly(i: int, n: int, roots: RootPair) -> RingElement:
     """Division-free value of canonical solution ``i`` at ``n >= 0``:
-    ``R_1[n] = sum(r1^u r2^v for u+v = n-1)`` and
-    ``R_0[n] = -sum(r1^u r2^v for u+v = n, u,v >= 1)``, with the defining
-    values at ``n = 0``."""
+    ``R_1[n] = h_(n-1)`` and ``R_0[n] = -r1 r2 h_(n-2)`` (defining values at
+    ``n = 0``), where ``h_m = sum(r1^u r2^v for u+v = m)``.  Doubling ``k``
+    gives ``h_(2k-1) = h_(k-1) (r1^k + r2^k)`` and a step gives
+    ``h_k = h_(k-1) r2 + r1^k``, so ``O(log n)`` ring multiplies."""
     _check_index(i)
     if n < 0:
         raise ValueError("division-free form needs n >= 0; use R_rational")
     ring = roots.ring
     if n == 0:
         return ring.one if i == 0 else ring.zero
-    total = ring.zero
-    if i == 1:
-        for u in range(n):
-            total = total + roots.r1 ** u * roots.r2 ** (n - 1 - u)
-        return total
-    for u in range(1, n):
-        total = total + roots.r1 ** u * roots.r2 ** (n - u)
-    return -total
+    r1, r2 = roots.r1, roots.r2
+    h, p1, p2 = ring.zero, ring.one, ring.one
+    for bit in bin(n if i == 1 else n - 1)[2:]:
+        h, p1, p2 = h * (p1 + p2), p1 * p1, p2 * p2
+        if bit == "1":
+            h, p1, p2 = h * r2 + p1, p1 * r1, p2 * r2
+    return h if i == 1 else -(r1 * r2 * h)
 
 
 def R_rational(i: int, n: int, roots: RootPair) -> RingElement:

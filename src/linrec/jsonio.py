@@ -179,10 +179,10 @@ def block_from_json(ring: Ring, obj, rank: int, path: str = "block") -> Block:
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: expected an object with shape and data")
     shape = _get(obj, "shape", path)
-    if not isinstance(shape, list) or not all(
+    if not isinstance(shape, list) or not shape or not all(
         _is_int(d) and d >= 1 for d in shape
     ):
-        raise SchemaError(f"{path}.shape: expected a list of positive integers")
+        raise SchemaError(f"{path}.shape: expected positive integers, one per axis")
     data = _get(obj, "data", path)
     if not isinstance(data, list):
         raise SchemaError(f"{path}.data: expected an array")

@@ -17,9 +17,13 @@ index.
 A :class:`Sequence` is the one-axis case, indexed by plain integers: its
 ``term`` is the contraction, and ``iter_terms`` steps the rule forward.
 
-The constructions at the bottom (tensor product, direct sums, the
-symmetric and antisymmetric halves, diagonal identities) combine or probe
-sequences without ever leaving exact arithmetic.
+The solutions of a spec form the module ``R[X_1, ..., X_p]`` modulo the
+axis rules ``chi_i(X_i)``.  So :func:`reduce_relation` reduces a linear
+relation ``sum_o c_o * x[n + o]`` to weights on the initial block, which
+evaluate it for one sequence, or show it holds for every sequence of the
+spec.  The constructions at the bottom (tensor product, direct sums, the
+symmetric and antisymmetric halves) and the identity checks (the
+cross-diagonal relation, exact swap symmetry) stay in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -188,6 +192,28 @@ def weighted_sum(values, weights) -> ModuleElement:
     return total
 
 
+def reduce_relation(spec: MultiSpec, relation, at=None) -> list:
+    """Weights of ``sum_o c_o * X^(at + o)`` modulo the axis rules
+    ``chi_i(X_i)``, for a relation ``{offset o: c_o}``; first axis fastest.
+
+    :func:`weighted_sum` of a block against them is that sequence's value
+    ``sum_o c_o * x[at + o]``.  If they all vanish at ``at = 0`` (the
+    default), every sequence of the spec satisfies the relation at every
+    index.  A negative ``at + o`` needs a unit trailing coefficient."""
+    ring = spec.ring
+    at = (0,) * spec.ndim if at is None else tuple(at)
+    if len(at) != spec.ndim:
+        raise IndexError(f"expected {spec.ndim} indices, got {len(at)}")
+    weights = [ring.zero] * prod(spec.shape)
+    for offset, c in relation.items():
+        if len(offset) != spec.ndim:
+            raise IndexError(f"offset {offset} does not have {spec.ndim} entries")
+        rows = [ax.basis_row(a + o) for ax, a, o in zip(spec.axes, at, offset)]
+        rows[0] = [ring(c) * r for r in rows[0]]
+        weights = [w + v for w, v in zip(weights, row_products(rows))]
+    return weights
+
+
 class MultiSequence:
     """A multi-indexed sequence determined by a spec and an initial block."""
 
@@ -228,26 +254,20 @@ class MultiSequence:
         return None
 
     def _reduction(self, index, i):
-        """Dependencies and combiner for rewriting coordinate ``i``."""
+        """Dependencies and weights for rewriting coordinate ``i``; stepping
+        backward needs a unit trailing coefficient ``a_d``."""
         rec = self.spec.axes[i]
-        d = rec.order
         n = index[i]
-        if n >= d:
-            deps = [
-                index[:i] + (n - j,) + index[i + 1 :] for j in range(1, d + 1)
-            ]
-            return deps, lambda vals: weighted_sum(vals, rec.coeffs)
-        # n < 0: step backward, needs a unit trailing coefficient
-        inv = rec._trailing_inverse()
-        deps = [index[:i] + (n + j,) + index[i + 1 :] for j in range(1, d + 1)]
-
-        def combine(vals):
-            total = vals[d - 1]
-            for j in range(1, d):
-                total = total - vals[d - 1 - j].scale(rec.coeffs[j - 1])
-            return total.scale(inv)
-
-        return deps, combine
+        if n >= rec.order:
+            step, weights = -1, rec.coeffs
+        else:
+            inv = rec._trailing_inverse()
+            step, weights = 1, [-(a * inv) for a in rec.coeffs[-2::-1]] + [inv]
+        deps = [
+            index[:i] + (n + step * j,) + index[i + 1 :]
+            for j in range(1, rec.order + 1)
+        ]
+        return deps, weights
 
     def term(self, index, priority=None) -> ModuleElement:
         """Value at a ``p``-tuple of indices by memoized axis rewriting.
@@ -265,7 +285,8 @@ class MultiSequence:
                 raise ValueError(f"bad axis priority {priority}")
         memo = self._memo
         if len(memo) > _MEMO_LIMIT:
-            memo.clear()
+            # a new dict: other threads keep filling the one they hold
+            self._memo = memo = {}
         stack = [index]
         while stack:
             idx = stack[-1]
@@ -277,12 +298,12 @@ class MultiSequence:
                 memo[idx] = self.block.at(idx)
                 stack.pop()
                 continue
-            deps, combine = self._reduction(idx, axis)
+            deps, weights = self._reduction(idx, axis)
             missing = [dep for dep in deps if dep not in memo]
             if missing:
                 stack.extend(missing)
             else:
-                memo[idx] = combine([memo[dep] for dep in deps])
+                memo[idx] = weighted_sum([memo[dep] for dep in deps], weights)
                 stack.pop()
         return memo[index]
 
@@ -529,30 +550,33 @@ def antisymmetrize(x, y) -> MultiSequence:
     return _halved_product(x, y, -1)
 
 
-def _swap_symmetry(seq: MultiSequence, sign: int, bound: int) -> bool:
+def _swap_symmetry(seq: MultiSequence, sign: int) -> bool:
     if seq.ndim != 2:
         raise HypothesisError("swap symmetry is defined for two axes")
-    for n in range(bound + 1):
-        for k in range(n, bound + 1):
-            left = seq.term((n, k))
-            right = seq.term((k, n))
-            if sign < 0:
-                right = -right
-            if left != right:
-                return False
-    return True
+    (d1, d2), first = seq.spec.shape, seq.spec.axes[0]
+    # The first rule's values along the second axis solve the spec, so this
+    # box decides whether it holds there; if so, x[n, k] and x[k, n] solve
+    # it along both axes and agree once they agree on the d1 x d1 corner.
+    box = Block.from_function(seq.ring, (d1 + 1, d1 + d2), seq.term_fast)
+    if not check_membership(MultiSpec(seq.ring, [first, first]), box):
+        return False
+    return all(
+        box.at((n, k)) == (box.at((k, n)) if sign > 0 else -box.at((k, n)))
+        for n, k in box_indices((d1, d1))
+    )
 
 
-def is_symmetric(seq: MultiSequence, bound: int = 8) -> bool:
-    """Whether values are unchanged under swapping the two indices, checked
-    exactly for all index pairs up to ``bound``."""
-    return _swap_symmetry(seq, +1, bound)
+def is_symmetric(seq: MultiSequence) -> bool:
+    """Whether ``x[n, k] = x[k, n]`` for all ``n, k >= 0``, decided exactly:
+    the first axis rule must also hold along the second axis, and the
+    ``d_1 x d_1`` corner at the origin must be symmetric."""
+    return _swap_symmetry(seq, +1)
 
 
-def is_antisymmetric(seq: MultiSequence, bound: int = 8) -> bool:
-    """Whether values flip sign under swapping the two indices, checked
-    exactly for all index pairs up to ``bound``."""
-    return _swap_symmetry(seq, -1, bound)
+def is_antisymmetric(seq: MultiSequence) -> bool:
+    """Whether ``x[n, k] = -x[k, n]`` for all ``n, k >= 0``, decided exactly
+    as in :func:`is_symmetric`."""
+    return _swap_symmetry(seq, -1)
 
 
 def _order_two_axes(seq: MultiSequence):
@@ -570,28 +594,29 @@ def diagonal_check(seq: MultiSequence, n: int, k: int) -> bool:
     ``ab*x[n,k+3] + (a^2+b)c*x[n+1,k+2] = a(c^2+d)*x[n+2,k+1] + cd*x[n+3,k]``
     at one position.  Applies when the axis rules ``(a, b)`` and ``(c, d)``
     satisfy ``a^2*d = b*c^2``; otherwise raises
-    :class:`~linrec.errors.HypothesisError`."""
+    :class:`~linrec.errors.HypothesisError`.  The relation reduces to
+    ``-(a^2*d - b*c^2)*X*Y`` modulo the axis rules (:func:`reduce_relation`),
+    so under the hypothesis it holds wherever the values exist."""
     a, b, c, d = _order_two_axes(seq)
     if a * a * d != b * c * c:
         raise HypothesisError(
             "coefficient relation a^2*d = b*c^2 does not hold"
         )
-    lhs = seq.term((n, k + 3)).scale(a * b) + seq.term((n + 1, k + 2)).scale(
-        (a * a + b) * c
-    )
-    rhs = seq.term((n + 2, k + 1)).scale(a * (c * c + d)) + seq.term(
-        (n + 3, k)
-    ).scale(c * d)
-    return lhs == rhs
+    cross = {
+        (0, 3): a * b,
+        (1, 2): (a * a + b) * c,
+        (2, 1): -(a * (c * c + d)),
+        (3, 0): -(c * d),
+    }
+    value = weighted_sum(seq.block.entries, reduce_relation(seq.spec, cross, (n, k)))
+    return all(c.is_zero() for c in value.coords)
 
 
 def diagonal_identity_fib(seq: MultiSequence, n: int, k: int) -> bool:
     """Verify ``x[n,k+3] - x[n+3,k] = 2*(x[n+2,k+1] - x[n+1,k+2])`` at one
-    position; applies when both axis rules are ``(1, 1)``."""
+    position; applies when both axis rules are ``(1, 1)``, where it is the
+    cross-diagonal relation of :func:`diagonal_check`."""
     a, b, c, d = _order_two_axes(seq)
-    one = seq.ring.one
-    if not (a == one and b == one and c == one and d == one):
+    if any(v != seq.ring.one for v in (a, b, c, d)):
         raise HypothesisError("identity applies when both axis rules are (1, 1)")
-    lhs = seq.term((n, k + 3)) - seq.term((n + 3, k))
-    diff = seq.term((n + 2, k + 1)) - seq.term((n + 1, k + 2))
-    return lhs == diff + diff
+    return diagonal_check(seq, n, k)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AmbiguousOrbitError, HypothesisError
-from .multiseq import Block, MultiSequence, MultiSpec, row_products
+from .multiseq import Block, MultiSequence, MultiSpec, reduce_relation
 from .rings import QQ, ZZ
 
 #: Default largest per-axis shift examined when classifying orbits.
@@ -228,12 +228,9 @@ def positions_determine(spec: MultiSpec, positions) -> bool:
         )
     if len(set(positions)) != len(positions):
         raise HypothesisError("positions must be pairwise distinct")
-    ax1, ax2 = spec.axes
+    # the row of position p reduces X^p modulo the axis rules
     matrix = [
-        [
-            Fraction(w.value)
-            for w in row_products([ax1.basis_row(n), ax2.basis_row(k)])
-        ]
-        for n, k in positions
+        [Fraction(w.value) for w in reduce_relation(spec, {p: 1})]
+        for p in positions
     ]
     return _determinant(matrix) != 0

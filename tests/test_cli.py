@@ -1,12 +1,18 @@
 """Command-line behavior: golden outputs, formats, exit codes."""
 
+import copy
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linrec.cli import WINDOW_CELL_LIMIT, main
+from linrec.errors import RingMismatchError
 from linrec.jsonio import block_from_json, load_spec, save_spec
 from linrec.multiseq import (
     Block,
@@ -200,6 +206,24 @@ class TestExactOutput:
         code, _, _ = run(capsys, "term", "--spec", FIB, "--", "1,2")
         assert code == 2
         assert sys.get_int_max_str_digits() == limit
+
+
+class TestExitCodes:
+    def test_other_linrec_errors_exit_3(self, capsys, monkeypatch):
+        def fail(path):
+            raise RingMismatchError("refused")
+
+        monkeypatch.setattr("linrec.cli.load_spec", fail)
+        assert run(capsys, "term", "--spec", FIB, "3") == (3, "", "error: refused\n")
+
+    @pytest.mark.parametrize("error", [ValueError, IndexError])
+    def test_other_errors_are_not_disguised(self, monkeypatch, error):
+        def fail(path):
+            raise error("a bug")
+
+        monkeypatch.setattr("linrec.cli.load_spec", fail)
+        with pytest.raises(error):
+            main(["term", "--spec", FIB, "3"])
 
 
 class TestSchemaErrors:
@@ -436,6 +460,13 @@ class TestOrbits:
         assert code == 2
         assert "csv" in err
 
+    @pytest.mark.parametrize("bound", ["1", "0", "-3"])
+    def test_bound_below_two_is_input_error(self, capsys, bound):
+        code, out, err = run(capsys, "orbits", "--bound", bound)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --bound must be >= 2\n"
+
 
 class TestDetermine:
     def test_initial_block_determines(self, capsys):
@@ -506,3 +537,90 @@ class TestBench:
         assert code == 3
         assert "check: MISMATCH" in err
         assert "check: OK" not in out
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated spec files under every command
+
+
+FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from(
+        [2**61 - 1, 10**30, 1.5, float("nan"), "", "x", "-1", "1/2", "1/0",
+         "Z", "Q", "Z/1", "Z/12", "r", [], {}, ["1"], [0, 1], {"kind": "mod"},
+         {"kind": "polynomial", "base": "Z", "variables": ["r"]}]
+    ),
+)
+FUZZ_INDEX = st.sampled_from(["3", "2,2", "1,-1", "-2", "-1,-1,0", "0,0", "a", ""])
+FUZZ_COMMANDS = [
+    lambda d: ["term", "--", d.draw(FUZZ_INDEX)],
+    lambda d: ["window", "--", d.draw(FUZZ_INDEX), d.draw(FUZZ_INDEX)],
+    lambda d: ["window", "--format", "csv", "--", d.draw(FUZZ_INDEX), "2,1"],
+    lambda d: ["window", "--format", "json", "--", d.draw(FUZZ_INDEX), "1,2"],
+    lambda d: ["genfun"],
+    lambda d: ["genfun", "--roots", d.draw(st.sampled_from(["1,2", "2", "x,1", "0,0"]))],
+    lambda d: ["basis", "--", str(d.draw(st.integers(-1, 6)))],
+    lambda d: ["basis", "--axis", str(d.draw(st.integers(-1, 3))), "4"],
+    lambda d: ["diag-check", "--", str(d.draw(st.integers(-1, 3)))],
+    lambda d: ["determine", d.draw(st.sampled_from(
+        ["(0,0);(1,0);(0,1);(1,1)", "(0,0);(0,0);(1,1);(2,2)", "(0,0)", "x;"]))],
+    lambda d: ["bench", "--", d.draw(FUZZ_INDEX)],
+    lambda d: ["bench", "--check", "--", d.draw(FUZZ_INDEX)],
+    lambda d: ["orbits", "--bound", str(d.draw(st.integers(-1, 3))),
+               "--format", d.draw(st.sampled_from(["grid", "json", "csv"]))],
+]
+
+
+def _json_paths(obj, path=()):
+    yield path
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ()
+    )
+    for key, value in items:
+        yield from _json_paths(value, path + (key,))
+
+
+def _mutate(data, obj):
+    """Replace or delete one node of a JSON tree (not the root)."""
+    paths = list(_json_paths(obj))[1:]
+    path = data.draw(st.sampled_from(paths))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        # a copy, so that later mutations leave the pool of values alone
+        parent[path[-1]] = copy.deepcopy(data.draw(FUZZ_VALUES))
+
+
+class TestFuzz:
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes_and_messages(self, data, tmp_path_factory):
+        """A mutated or truncated copy of a golden spec, under any command,
+        exits 0, 2 or 3 with a short message and never a traceback."""
+        obj = json.loads(data.draw(st.sampled_from(sorted(DATA.glob("*.json")))).read_text())
+        for _ in range(data.draw(st.integers(0, 3))):
+            _mutate(data, obj)
+        text = json.dumps(obj)
+        if data.draw(st.integers(0, 9)) == 0:
+            text = text[: data.draw(st.integers(0, len(text) - 1))]
+        spec = tmp_path_factory.getbasetemp() / "fuzz_spec.json"
+        spec.write_text(text)
+        argv = data.draw(st.sampled_from(FUZZ_COMMANDS))(data)
+        if argv[0] != "orbits":
+            argv[1:1] = ["--spec", str(spec)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                # argparse refuses the command line
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 2, 3), (argv, text, code, err)
+        assert "Traceback" not in err
+        assert len(err) < 600 and err.count("\n") <= 3, err

@@ -1,12 +1,17 @@
 """Multi-axis sequences: evaluation, windows, constructions, identities."""
 
+import sys
+import threading
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import elements
+from linrec import multiseq
 from linrec.errors import HypothesisError, NotInvertibleError, RingMismatchError
 from linrec.multiseq import (
     Block,
@@ -24,11 +29,12 @@ from linrec.multiseq import (
     is_antisymmetric,
     is_symmetric,
     reconstruct,
+    reduce_relation,
     symmetrize,
     tensor_product,
 )
 from linrec.recurrence import Recurrence, Sequence
-from linrec.rings import QQ, ZZ, IntegerModRing, ProductRing
+from linrec.rings import QQ, ZZ, IntegerModRing, PolynomialRing, ProductRing
 
 
 def make(ring, axes, entries):
@@ -199,6 +205,39 @@ class TestEvaluation:
         assert v == w
         a = seq.term((1, 2)) + seq.term((0, 2))
         assert seq.term((2, 2)) == a
+
+    def test_memo_limit_under_threads(self, monkeypatch):
+        """Threads sharing one sequence keep their values when the memo
+        passes its limit and is replaced under them."""
+        monkeypatch.setattr(multiseq, "_MEMO_LIMIT", 50)
+        seq = make(ZZ, [(1, 1), (2, 3)], [3, 1, 4, 1])
+        cells = [(n, k) for n in range(-3, 30) for k in range(30)]
+        results, errors = {}, []
+
+        def work(offset):
+            try:
+                for idx in cells[offset:] + cells[:offset]:
+                    results[offset, idx] = seq.term(idx)
+            except Exception as exc:  # reported below, with its type
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(t * 97,)) for t in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(results) == 4 * len(cells)
+        for (_, idx), value in results.items():
+            assert value == seq.term_fast(idx)
 
 
 class TestWindowsAndShifts:
@@ -380,7 +419,7 @@ class TestSymmetricHalves:
         assert s.term((1, 2)).scalar() == QQ(2)
 
     def test_mixed_rule_grid_is_not_symmetric(self, grid):
-        assert not is_symmetric(grid, bound=4)
+        assert not is_symmetric(grid)
 
     def test_refused_when_two_not_a_unit(self):
         x = make(IntegerModRing(6), [(1, 1)], [0, 1])
@@ -481,3 +520,151 @@ class TestDiagonalIdentities:
         n = data.draw(st.integers(0, 10))
         k = data.draw(st.integers(0, 10))
         assert diagonal_check(seq, n, k)
+
+
+RELATION_RINGS = [
+    ZZ,
+    QQ,
+    IntegerModRing(12),
+    ProductRing(IntegerModRing(10**9 + 7), IntegerModRing(12)),
+    PolynomialRing(ZZ, ("r",)),
+]
+
+
+def draw_sequence(data, ring, ndim):
+    shape = tuple(data.draw(st.integers(1, 3)) for _ in range(ndim))
+    small = elements(ring, 3)
+    axes = [[data.draw(small) for _ in range(d)] for d in shape]
+    return make(ring, axes, [data.draw(small) for _ in range(prod(shape))])
+
+
+class TestRelations:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_value_matches_rewriting(self, data):
+        ring = data.draw(st.sampled_from(RELATION_RINGS))
+        ndim = data.draw(st.integers(1, 3))
+        seq = draw_sequence(data, ring, ndim)
+        offset = st.tuples(*[st.integers(0, 3)] * ndim)
+        relation = data.draw(
+            st.dictionaries(offset, elements(ring, 3), min_size=1, max_size=4)
+        )
+        at = tuple(data.draw(st.integers(0, 5)) for _ in range(ndim))
+        weights = reduce_relation(seq.spec, relation, at)
+        value = multiseq.weighted_sum(seq.block.entries, weights)
+        memo = from_sequence(seq)
+        expected = None
+        for o, c in relation.items():
+            part = memo.term(tuple(a + j for a, j in zip(at, o))).scale(c)
+            expected = part if expected is None else expected + part
+        assert value == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_axis_rule_multiples_reduce_to_zero(self, data):
+        ring = data.draw(st.sampled_from(RELATION_RINGS))
+        ndim = data.draw(st.integers(1, 3))
+        spec = draw_sequence(data, ring, ndim).spec
+        i = data.draw(st.integers(0, ndim - 1))
+        rec = spec.axes[i]
+        c = data.draw(elements(ring, 3))
+        e = tuple(data.draw(st.integers(0, 4)) for _ in range(ndim))
+
+        def at_power(m):
+            return e[:i] + (e[i] + m,) + e[i + 1 :]
+
+        # c * X^e * chi_i(X_i), chi_i(X) = X^d - a_1 X^(d-1) - ... - a_d
+        relation = {at_power(rec.order): c}
+        for j, a in enumerate(rec.coeffs, 1):
+            relation[at_power(rec.order - j)] = -(c * a)
+        assert all(w.is_zero() for w in reduce_relation(spec, relation))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rules=st.lists(st.integers(-9, 9), min_size=4, max_size=4))
+    def test_cross_diagonal_remainder(self, rules):
+        a, b, c, d = rules
+        spec = MultiSpec(ZZ, [(a, b), (c, d)])
+        cross = {
+            (0, 3): a * b,
+            (1, 2): (a * a + b) * c,
+            (2, 1): -a * (c * c + d),
+            (3, 0): -c * d,
+        }
+        remainder = -(a * a * d - b * c * c)
+        assert reduce_relation(spec, cross) == [0, 0, 0, remainder]
+
+    def test_default_point_is_origin(self, grid):
+        relation = {(1, 0): 2, (0, 1): -1}
+        assert reduce_relation(grid.spec, relation) == reduce_relation(
+            grid.spec, relation, (0, 0)
+        )
+
+    def test_offsets_need_one_entry_per_axis(self, grid):
+        with pytest.raises(IndexError):
+            reduce_relation(grid.spec, {(1,): 1})
+        with pytest.raises(IndexError):
+            reduce_relation(grid.spec, {(1, 0): 1}, (0, 0, 0))
+
+    def test_negative_point_needs_unit_trailing(self):
+        # 1^2 * 4 = 1 * 2^2, but the second rule's a_d = 4 is not a unit
+        seq = make(ZZ, [(1, 1), (2, 4)], [0, 1, 1, 2])
+        with pytest.raises(NotInvertibleError):
+            reduce_relation(seq.spec, {(0, 0): 1}, (0, -1))
+        with pytest.raises(NotInvertibleError):
+            diagonal_check(seq, 0, -1)
+
+
+class TestExactSymmetry:
+    def test_periodic_second_axis(self):
+        """Values agree under the swap up to index 9 but not beyond:
+        ``x[n, k] = F_n F_k`` on a block whose second axis repeats every 10
+        steps, so ``x[1, 10] = 0`` while ``x[10, 1] = 55``."""
+        fib = [0, 1]
+        while len(fib) < 11:
+            fib.append(fib[-1] + fib[-2])
+        period = [0] * 9 + [1]
+        entries = [fib[n] * fib[k] for k in range(10) for n in range(2)]
+        seq = make(ZZ, [(1, 1), period], entries)
+        assert seq.term((1, 10)) != seq.term((10, 1))
+        assert not is_symmetric(seq)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_brute_force(self, data):
+        ring = data.draw(st.sampled_from([ZZ, IntegerModRing(7), IntegerModRing(12)]))
+        small = elements(ring, 3)
+        first = [data.draw(small) for _ in range(data.draw(st.integers(1, 3)))]
+        d = len(first)
+        kind = data.draw(st.sampled_from(["equal", "times-x", "other"]))
+        if kind == "equal":
+            second = first
+        elif kind == "times-x":
+            second = first + [ring.zero]
+        else:
+            second = [data.draw(small) for _ in range(data.draw(st.integers(1, 3)))]
+        # a corner that is symmetric, antisymmetric or neither, continued
+        # by the first rule along the second axis
+        sign = data.draw(st.sampled_from([1, -1, 0]))
+        corner = {}
+        for n in range(d):
+            for k in range(n, d):
+                corner[n, k] = data.draw(small)
+                corner[k, n] = data.draw(small) if sign == 0 else corner[n, k] * sign
+        rows = {}
+        for n in range(d):
+            values = [corner[n, k] for k in range(d)]
+            while len(values) < len(second):
+                values.append(sum((a * v for a, v in zip(first, values[::-1])), ring.zero))
+            rows[n] = values
+        if data.draw(st.booleans()):
+            entries = [rows[n][k] for k in range(len(second)) for n in range(d)]
+        else:
+            entries = [data.draw(small) for _ in range(d * len(second))]
+        seq = make(ring, [first, second], entries)
+        values = {idx: seq.term(idx) for idx in box_indices((17, 17))}
+        for flip, decide in ((1, is_symmetric), (-1, is_antisymmetric)):
+            brute = all(
+                values[n, k] == (values[k, n] if flip > 0 else -values[k, n])
+                for n, k in values
+            )
+            assert decide(seq) == brute
