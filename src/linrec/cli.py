@@ -49,6 +49,7 @@ from .multiseq import box_indices, diagonal_check
 from .orbits import (
     block_index,
     classify_orbits,
+    format_block,
     format_shift,
     positions_determine,
 )
@@ -158,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub,
         "determine",
         "Decide whether values at the given positions pin down a scalar "
-        "double sequence of this spec.",
+        "double sequence of this spec, over any ring.",
     )
     _spec_flag(p)
     p.add_argument(
@@ -382,8 +383,7 @@ def _cmd_diag_check(args) -> int:
 
 
 def _inline_block(block) -> str:
-    x00, x10, x01, x11 = block
-    return f"{x01} {x11} / {x00} {x10}"
+    return format_block(block).replace("\n", " / ")
 
 
 def _cmd_orbits(args) -> int:

@@ -201,21 +201,6 @@ class RationalGF:
             total = total * q
         return total
 
-    def axis_coeffs(self, axis: int) -> list[RingElement]:
-        """Rule coefficients recovered from one axis denominator."""
-        q = self.denominators[axis]
-        degree = max((exps[axis] for exps in q.value), default=0)
-        out = []
-        for j in range(1, degree + 1):
-            vec = [0] * self.poly_ring.nvars
-            vec[axis] = j
-            c = q.value.get(tuple(vec))
-            if c is None:
-                out.append(self.ring.zero)
-            else:
-                out.append(-RingElement(self.ring, c))
-        return out
-
     def expand(self, orders) -> TruncatedSeries:
         """Series coefficients up to the inclusive per-variable bounds."""
         orders = tuple(int(o) for o in orders)
@@ -225,7 +210,9 @@ class RationalGF:
         shape = seed.shape
         flat = list(seed.coeffs)
         for axis in range(len(self.variables)):
-            coeffs = self.axis_coeffs(axis)
+            # the rule (a_1, ..., a_d) from q = 1 - a_1*t - ... - a_d*t^d
+            q = _dense(self.ring, self.denominators[axis], axis)
+            coeffs = [-RingElement(self.ring, c) for c in q[1:]]
             if not coeffs:
                 continue
             for idx in box_indices(shape):

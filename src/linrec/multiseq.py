@@ -21,9 +21,11 @@ The solutions of a spec form the module ``R[X_1, ..., X_p]`` modulo the
 axis rules ``chi_i(X_i)``.  So :func:`reduce_relation` reduces a linear
 relation ``sum_o c_o * x[n + o]`` to weights on the initial block, which
 evaluate it for one sequence, or show it holds for every sequence of the
-spec.  The constructions at the bottom (tensor product, direct sums, the
-symmetric and antisymmetric halves) and the identity checks (the
-cross-diagonal relation, exact swap symmetry) stay in exact arithmetic.
+spec.  :func:`charpoly` gives the characteristic polynomial of a matrix
+of such weights over any ring, without division.  The constructions at the
+bottom (tensor product, direct sums, the symmetric and antisymmetric
+halves) and the identity checks (the cross-diagonal relation, exact swap
+symmetry) stay in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -212,6 +214,38 @@ def reduce_relation(spec: MultiSpec, relation, at=None) -> list:
         rows[0] = [ring(c) * r for r in rows[0]]
         weights = [w + v for w, v in zip(weights, row_products(rows))]
     return weights
+
+
+def charpoly(ring: Ring, rows) -> list:
+    """Payloads of ``det(t*I - M)``, lowest degree first, for the square
+    matrix ``M`` of payload ``rows``; ``det M`` is ``(-1)^N`` times the first.
+
+    Berkowitz's division-free recurrence (S. J. Berkowitz, Inform. Process.
+    Lett. 18(3), 1984) works over every commutative ring, with about
+    ``N^4 / 4`` multiplies for ``N`` rows."""
+    add, mul, zero = ring.add, ring.mul, ring.payload_zero()
+
+    def dot(xs, ys):
+        total = zero
+        for x, y in zip(xs, ys):
+            total = add(total, mul(x, y))
+        return total
+
+    poly = [ring.payload_one()]
+    for k, row in enumerate(rows):
+        # the leading block M_k+1 = [[M_k, col], [low, a]] has the polynomial
+        # (t - a)*p(t) - sum_m t^m sum_j p[m+1+j] * low M_k^j col, where p
+        # is M_k's; dot stops at the shorter vector, so rows act as M_k's
+        v, s = [r[k] for r in rows[:k]], []
+        for _ in range(k):
+            s.append(dot(row, v))
+            v = [dot(r, v) for r in rows[:k]]
+        new = [zero] + poly
+        for m in range(k + 1):
+            tail = add(mul(row[k], poly[m]), dot(poly[m + 1 :], s))
+            new[m] = ring.sub(new[m], tail)
+        poly = new
+    return poly
 
 
 class MultiSequence:
@@ -596,20 +630,26 @@ def diagonal_check(seq: MultiSequence, n: int, k: int) -> bool:
     satisfy ``a^2*d = b*c^2``; otherwise raises
     :class:`~linrec.errors.HypothesisError`.  The relation reduces to
     ``-(a^2*d - b*c^2)*X*Y`` modulo the axis rules (:func:`reduce_relation`),
-    so under the hypothesis it holds wherever the values exist."""
+    so under the hypothesis it holds wherever the values exist, as its
+    weights at the origin show.  A negative ``n`` or ``k`` still needs a
+    unit trailing coefficient on that axis."""
     a, b, c, d = _order_two_axes(seq)
     if a * a * d != b * c * c:
         raise HypothesisError(
             "coefficient relation a^2*d = b*c^2 does not hold"
         )
+    # a negative index steps backward, which needs a unit a_d on that axis
+    for ax, m in zip(seq.spec.axes, (n, k)):
+        if m < 0:
+            ax._trailing_inverse()
     cross = {
         (0, 3): a * b,
         (1, 2): (a * a + b) * c,
         (2, 1): -(a * (c * c + d)),
         (3, 0): -(c * d),
     }
-    value = weighted_sum(seq.block.entries, reduce_relation(seq.spec, cross, (n, k)))
-    return all(c.is_zero() for c in value.coords)
+    # zero weights at the origin certify the relation at every position
+    return all(w.is_zero() for w in reduce_relation(seq.spec, cross))
 
 
 def diagonal_identity_fib(seq: MultiSequence, n: int, k: int) -> bool:

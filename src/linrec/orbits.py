@@ -9,20 +9,19 @@ census groups the sixteen blocks into orbits under this reachability and
 singles out primitives: blocks not obtainable by shifting any other
 block's sequence.
 
-``positions_determine`` answers a different question about the same rank-4
-family: whether prescribing values at four given index pairs pins down the
-double sequence uniquely, decided by the invertibility of a 4x4 rational
-matrix of products of canonical solution values.
+``positions_determine`` answers a different question, for any two-axis
+spec over any ring: whether prescribing values at ``d_1 * d_2`` given index
+pairs pins down the double sequence uniquely, decided by whether the
+determinant of the matrix of reduced monomials is a zero divisor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import AmbiguousOrbitError, HypothesisError
-from .multiseq import Block, MultiSequence, MultiSpec, reduce_relation
-from .rings import QQ, ZZ
+from .multiseq import Block, MultiSequence, MultiSpec, charpoly, reduce_relation
+from .rings import ZZ
 
 #: Default largest per-axis shift examined when classifying orbits.
 DEFAULT_SEARCH_BOUND = 4
@@ -177,47 +176,21 @@ def generation_certificate():
     seq = block_sequence((1, 0, 0, 0))
     shifts = [(0, 0), (1, 0), (0, 1), (1, 1)]
     matrix = [list(_window_values(seq, s)) for s in shifts]
-    det = _determinant([[Fraction(v) for v in row] for row in matrix])
-    if det.denominator != 1:
-        raise AmbiguousOrbitError("certificate determinant is not an integer")
-    return matrix, int(det)
-
-
-def _determinant(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            if factor:
-                rows[r] = [
-                    a - factor * b for a, b in zip(rows[r], rows[col])
-                ]
-    return det
+    det = (-1) ** len(matrix) * charpoly(ZZ, matrix)[0]
+    return matrix, det
 
 
 def positions_determine(spec: MultiSpec, positions) -> bool:
     """Whether values at the given index pairs determine a scalar double
     sequence of this spec uniquely.
 
-    Requires two axes over the integers or rationals and exactly
-    ``d_1 * d_2`` pairwise distinct positions; decided by the determinant
-    of the matrix of canonical-solution products."""
+    Requires two axes and exactly ``d_1 * d_2`` pairwise distinct positions.
+    The values are the matrix of reduced monomials times the initial block,
+    so they determine it exactly when that matrix is injective: by McCoy's
+    theorem, when its determinant is not a zero divisor (N. H. McCoy,
+    Amer. Math. Monthly 49(5), 1942).  This holds over every ring."""
     if spec.ndim != 2:
         raise HypothesisError("determination test needs exactly two axes")
-    if spec.ring not in (ZZ, QQ):
-        raise HypothesisError(
-            "determination test works over the integers or rationals"
-        )
     positions = [tuple(int(n) for n in p) for p in positions]
     d1, d2 = spec.shape
     needed = d1 * d2
@@ -230,7 +203,7 @@ def positions_determine(spec: MultiSpec, positions) -> bool:
         raise HypothesisError("positions must be pairwise distinct")
     # the row of position p reduces X^p modulo the axis rules
     matrix = [
-        [Fraction(w.value) for w in reduce_relation(spec, {p: 1})]
-        for p in positions
+        [w.value for w in reduce_relation(spec, {p: 1})] for p in positions
     ]
-    return _determinant(matrix) != 0
+    # the determinant is the constant term up to sign
+    return not spec.ring.is_zero_divisor([charpoly(spec.ring, matrix)[0]])

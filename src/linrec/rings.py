@@ -17,6 +17,7 @@ outcome, not an error.  Helpers that *require* a unit raise
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import NotInvertibleError, RingMismatchError, SchemaError
 
@@ -62,7 +63,7 @@ class Ring:
 
     def sort_key(self, x):
         """Canonical hashable key; equal payloads get equal keys."""
-        raise NotImplementedError
+        return x
 
     def format(self, x) -> str:
         raise NotImplementedError
@@ -75,10 +76,18 @@ class Ring:
         return False, x
 
     def to_json(self, x):
-        raise NotImplementedError
+        return self.format(x)
 
     def from_json(self, obj):
-        raise NotImplementedError
+        return self.coerce(obj)
+
+    def is_zero_divisor(self, xs) -> bool:
+        """Whether one nonzero ``c`` has ``c*x = 0`` for every payload ``x``
+        in ``xs``; this default suits integral domains, where only zeros
+        are killed.  A polynomial is a zero divisor exactly when its list
+        of coefficients is (McCoy), which is why this takes a list."""
+        zero = self.payload_zero()
+        return all(x == zero for x in xs)
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -122,20 +131,11 @@ class IntegerRing(Ring):
     def from_int(self, n):
         return n
 
-    def sort_key(self, x):
-        return x
-
     def format(self, x):
         return str(x)
 
     def format_signed(self, x):
         return x < 0, abs(x)
-
-    def to_json(self, x):
-        return str(x)
-
-    def from_json(self, obj):
-        return self.coerce(obj)
 
     def describe(self):
         return "Z"
@@ -182,20 +182,11 @@ class RationalRing(Ring):
     def from_int(self, n):
         return Fraction(n)
 
-    def sort_key(self, x):
-        return x
-
     def format(self, x):
         return f"{x.numerator}/{x.denominator}"
 
     def format_signed(self, x):
         return x < 0, abs(x)
-
-    def to_json(self, x):
-        return f"{x.numerator}/{x.denominator}"
-
-    def from_json(self, obj):
-        return self.coerce(obj)
 
     def describe(self):
         return "Q"
@@ -243,17 +234,11 @@ class IntegerModRing(Ring):
     def from_int(self, n):
         return n % self.modulus
 
-    def sort_key(self, x):
-        return x
+    def is_zero_divisor(self, xs):
+        return gcd(self.modulus, *xs) > 1
 
     def format(self, x):
         return str(x)
-
-    def to_json(self, x):
-        return str(x)
-
-    def from_json(self, obj):
-        return self.coerce(obj)
 
     def describe(self):
         return f"Z/{self.modulus}"
@@ -299,6 +284,12 @@ class ProductRing(Ring):
 
     def from_int(self, n):
         return (self.left.from_int(n), self.right.from_int(n))
+
+    def is_zero_divisor(self, xs):
+        # (c, 0) or (0, c) with c nonzero
+        if self.left.is_zero_divisor([x[0] for x in xs]):
+            return True
+        return self.right.is_zero_divisor([x[1] for x in xs])
 
     def sort_key(self, x):
         return (self.left.sort_key(x[0]), self.right.sort_key(x[1]))
@@ -464,6 +455,11 @@ class PolynomialRing(Ring):
 
     def from_int(self, n):
         return self._from_const(self.base.from_int(n))
+
+    def is_zero_divisor(self, xs):
+        # a nonzero polynomial kills them all exactly when a nonzero
+        # constant does (McCoy), so ask the base ring about every coefficient
+        return self.base.is_zero_divisor([c for x in xs for c in x.values()])
 
     def sort_key(self, x):
         return tuple(sorted((exps, self.base.sort_key(c)) for exps, c in x.items()))

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from linrec.errors import NotInvertibleError
+from linrec.multiseq import Block, MultiSequence, MultiSpec, diagonal_check
 from linrec.recurrence import Recurrence, Sequence
 from linrec.rings import QQ, ZZ, IntegerModRing, PolynomialRing, ProductRing
 
@@ -156,6 +157,20 @@ def test_multiply_counts(d):
         calls[0] = 0
         rec.basis_row(n)
         assert calls[0] <= d, (n, calls[0])
+
+
+def test_diagonal_check_cost_does_not_depend_on_position():
+    # the relation's weights at the origin certify every position, so a
+    # far position costs no basis-row powering
+    ring, calls = counting_ring()
+    counts = []
+    for n in (0, 10**18):
+        spec = MultiSpec(ring, [(1, 1), (1, 1)])
+        seq = MultiSequence(spec, Block(ring, (2, 2), [1, 2, 3, 4]))
+        calls[0] = 0
+        assert diagonal_check(seq, n, n)
+        counts.append(calls[0])
+    assert counts[0] == counts[1]
 
 
 def test_threads_sharing_a_rule_get_correct_rows():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import injective, value_matrix
 from linrec.cli import WINDOW_CELL_LIMIT, main
 from linrec.errors import RingMismatchError
 from linrec.jsonio import block_from_json, load_spec, save_spec
@@ -482,6 +483,26 @@ class TestDetermine:
         )
         assert code == 0
         assert out == "NOT DETERMINING\n"
+
+    @pytest.mark.parametrize(
+        "positions, answer",
+        [
+            ([(0, 0), (1, 0), (0, 1), (2, 2)], "DETERMINING"),
+            # the integer determinant is 4, a zero divisor mod 12
+            ([(0, 0), (1, 0), (0, 1), (3, 3)], "NOT DETERMINING"),
+        ],
+    )
+    def test_residue_spec(self, capsys, tmp_path, positions, answer):
+        ring = IntegerModRing(12)
+        ms = MultiSpec(ring, [(1, 1), (1, 1)])
+        spec = tmp_path / "spec.json"
+        save_spec(spec, MultiSequence(ms, Block(ring, (2, 2), [1, 2, 3, 4])))
+        text = ";".join(f"({n},{k})" for n, k in positions)
+        code, out, err = run(capsys, "determine", "--spec", str(spec), text)
+        assert (code, out, err) == (0, f"{answer}\n", "")
+        # the answer printed is the brute-force one
+        expected = injective(ring, value_matrix(ms, positions))
+        assert expected == (answer == "DETERMINING")
 
     def test_wrong_count_is_precondition_failure(self, capsys):
         code, _, err = run(capsys, "determine", "--spec", DIAG, "(0,0);(1,1)")

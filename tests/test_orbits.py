@@ -1,9 +1,14 @@
 """Binary block census: orbits, primitives, certificates, determination."""
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import elements, injective, residues, value_matrix
 from linrec.errors import HypothesisError
-from linrec.multiseq import MultiSpec
+from linrec.multiseq import Block, MultiSequence, MultiSpec, charpoly, reduce_relation
 from linrec.orbits import (
     Orbit,
     block_index,
@@ -15,7 +20,7 @@ from linrec.orbits import (
     generation_certificate,
     positions_determine,
 )
-from linrec.rings import QQ, ZZ
+from linrec.rings import QQ, ZZ, IntegerModRing, PolynomialRing, ProductRing
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +197,171 @@ class TestPositionsDetermine:
         spec = MultiSpec(ZZ, [(1, 1, 1), (2, 1)])
         positions = [(n, k) for n in range(3) for k in range(2)]
         assert positions_determine(spec, positions)
+
+
+def eliminate(rows) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals: the reference
+    for :func:`charpoly` on integer and rational matrices."""
+    n = len(rows)
+    rows = [[Fraction(v) for v in r] for r in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, n):
+            factor = rows[r][col] * inv
+            if factor:
+                rows[r] = [
+                    a - factor * b for a, b in zip(rows[r], rows[col])
+                ]
+    return det
+
+
+def draw_square(data, ring, max_size) -> list:
+    """A payload matrix of size 1..max_size; now and then its last row
+    repeats its first, so that singular matrices come up."""
+    n = data.draw(st.integers(1, max_size))
+    entry = elements(ring, 6).map(lambda e: e.value)
+    row = st.lists(entry, min_size=n, max_size=n)
+    rows = data.draw(st.lists(row, min_size=n, max_size=n))
+    if n > 1 and data.draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return rows
+
+
+Z4 = IntegerModRing(4)
+Z12 = IntegerModRing(12)
+Z2xZ3 = ProductRing(IntegerModRing(2), IntegerModRing(3))
+Z4R = PolynomialRing(Z4, ("r",))
+Z6R = PolynomialRing(IntegerModRing(6), ("r",))
+
+
+class TestCharpoly:
+    @pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_determinant_matches_elimination(self, ring, data):
+        rows = draw_square(data, ring, 6)
+        poly = charpoly(ring, rows)
+        n = len(rows)
+        assert len(poly) == n + 1 and poly[n] == 1
+        # the next coefficient is minus the trace
+        assert poly[n - 1] == -sum(rows[i][i] for i in range(n))
+        assert (-1) ** n * poly[0] == eliminate(rows)
+
+    @pytest.mark.parametrize("ring", [Z12, Z2xZ3, Z4R], ids=lambda r: r.describe())
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_cayley_hamilton(self, ring, data):
+        rows = draw_square(data, ring, 4)
+        n = len(rows)
+        matrix = [[ring(v) for v in r] for r in rows]
+
+        def times_matrix(x):
+            return [
+                [
+                    sum((x[i][l] * matrix[l][j] for l in range(n)), ring.zero)
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+
+        # p(M) by Horner's rule is the zero matrix
+        acc = [[ring.zero] * n for _ in range(n)]
+        for c in reversed(charpoly(ring, rows)):
+            acc = times_matrix(acc)
+            for i in range(n):
+                acc[i][i] = acc[i][i] + ring(c)
+        assert all(v.is_zero() for row in acc for v in row)
+
+    def test_empty_matrix(self):
+        assert charpoly(ZZ, []) == [1]
+
+
+def draw_determine_case(data, ring):
+    """A two-axis spec with unit trailing coefficients (orders 2 and 1-2)
+    and ``d_1 * d_2`` distinct positions in ``[-3, 4]^2``.  The positions
+    come from three strata, so that both answers occur: a shifted initial
+    box always determines, random positions mostly do not, and a box with
+    one position moved does either."""
+    units = [x for x in residues(ring) if ring.try_invert(x) is not None]
+    rules = []
+    for low in (2, 1):
+        d = data.draw(st.integers(low, 2))
+        head = [data.draw(st.sampled_from(residues(ring))) for _ in range(d - 1)]
+        rules.append(head + [data.draw(st.sampled_from(units))])
+    spec = MultiSpec(ring, rules)
+    d1, d2 = spec.shape
+    needed = d1 * d2
+    point = st.tuples(st.integers(-3, 4), st.integers(-3, 4))
+    kind = data.draw(st.sampled_from(["box", "moved", "random"]))
+    if kind == "random":
+        positions = data.draw(
+            st.lists(point, min_size=needed, max_size=needed, unique=True)
+        )
+    else:
+        n0 = data.draw(st.integers(-3, 5 - d1))
+        k0 = data.draw(st.integers(-3, 5 - d2))
+        positions = [(n0 + i, k0 + j) for j in range(d2) for i in range(d1)]
+        if kind == "moved":
+            moved = data.draw(point.filter(lambda p: p not in positions))
+            positions[data.draw(st.integers(0, needed - 1))] = moved
+    return spec, positions
+
+
+class TestDeterminationOverRings:
+    """``positions_determine`` against brute-force injectivity of the map
+    from initial blocks to the values at the positions."""
+
+    @pytest.mark.parametrize("ring", [Z12, Z2xZ3], ids=lambda r: r.describe())
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force(self, ring, data):
+        spec, positions = draw_determine_case(data, ring)
+        expected = injective(ring, value_matrix(spec, positions))
+        assert positions_determine(spec, positions) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_constant_rules_over_polynomials(self, data):
+        # with constant rules the map acts on each coefficient of r
+        # separately, so it is injective over Z/4[r] exactly when it is
+        # over Z/4
+        spec, positions = draw_determine_case(data, Z4)
+        lifted = MultiSpec(
+            Z4R, [[c.value for c in ax.coeffs] for ax in spec.axes]
+        )
+        expected = injective(Z4, value_matrix(spec, positions))
+        assert positions_determine(lifted, positions) == expected
+
+    def test_non_constant_rule_not_determining(self):
+        r = Z4R.variable("r")
+        spec = MultiSpec(Z4R, [(r, 1), (1, 1)])
+        positions = [(1, -1), (0, 1), (-2, 4), (-3, 1)]
+        matrix = [
+            [w.value for w in reduce_relation(spec, {p: 1})] for p in positions
+        ]
+        # det = 2 + 2r^4 is not zero, but 2 kills it
+        assert Z4R.format(charpoly(Z4R, matrix)[0]) == "2 + 2r^4"
+        assert not positions_determine(spec, positions)
+        # two sequences whose blocks differ by 2 at (0, 0) agree there
+        first = MultiSequence(spec, Block(Z4R, (2, 2), [1, r, 0, 3]))
+        second = MultiSequence(spec, Block(Z4R, (2, 2), [3, r, 0, 3]))
+        assert first != second
+        assert [first.term(p) for p in positions] == [
+            second.term(p) for p in positions
+        ]
+
+    def test_integer_answers_differ_from_residues(self):
+        # det 4 is nonzero over Z but a zero divisor mod 12
+        positions = [(0, 0), (1, 0), (0, 1), (3, 3)]
+        assert positions_determine(MultiSpec(ZZ, [(1, 1), (1, 1)]), positions)
+        spec = MultiSpec(Z12, [(1, 1), (1, 1)])
+        assert not positions_determine(spec, positions)
+        assert not injective(Z12, value_matrix(spec, positions))

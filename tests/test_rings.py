@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import AXIOM_RINGS, elements
+from conftest import AXIOM_RINGS, elements, residues
 from linrec.errors import NotInvertibleError, RingMismatchError, SchemaError
 from linrec.rings import (
     QQ,
@@ -128,6 +128,65 @@ class TestInversion:
     def test_inverse_raises_for_non_units(self):
         with pytest.raises(NotInvertibleError):
             ZZ(2).inverse()
+
+
+class TestZeroDivisors:
+    """``is_zero_divisor(xs)``: one nonzero ``c`` kills every payload."""
+
+    def test_domains_kill_only_zero(self):
+        assert ZZ.is_zero_divisor([0])
+        assert not ZZ.is_zero_divisor([2])
+        assert not ZZ.is_zero_divisor([0, -3])
+        assert QQ.is_zero_divisor([Fraction(0)])
+        assert not QQ.is_zero_divisor([Fraction(1, 3)])
+
+    def test_residues(self):
+        R = IntegerModRing(12)
+        assert R.is_zero_divisor([0])
+        assert R.is_zero_divisor([4])
+        assert R.is_zero_divisor([4, 8])
+        assert not R.is_zero_divisor([5])
+        # 3 kills 4 and 4 kills 3, but nothing nonzero kills both
+        assert not R.is_zero_divisor([4, 3])
+
+    def test_product_either_side(self):
+        R = ProductRing(IntegerModRing(2), IntegerModRing(3))
+        assert R.is_zero_divisor([(1, 0)])
+        assert R.is_zero_divisor([(0, 2), (0, 1)])
+        assert not R.is_zero_divisor([(1, 1)])
+        assert not R.is_zero_divisor([(1, 0), (0, 1)])
+
+    def test_polynomials_by_content(self):
+        R = PolynomialRing(IntegerModRing(6), ("r",))
+        r = R.variable("r")
+        assert not R.is_zero_divisor([(2 + 3 * r).value])
+        assert R.is_zero_divisor([(2 + 4 * r).value])
+        assert R.is_zero_divisor([R(0).value])
+        assert not PolynomialRing(ZZ, ("r",)).is_zero_divisor([{(1,): 2}])
+
+    @pytest.mark.parametrize(
+        "ring",
+        [IntegerModRing(12), ProductRing(IntegerModRing(2), IntegerModRing(3))],
+        ids=lambda r: r.describe(),
+    )
+    def test_matches_brute_force(self, ring):
+        values = residues(ring)
+        zero = ring.payload_zero()
+        killers = [c for c in values if c != zero]
+        for xs in [[x] for x in values] + [[x, y] for x in values for y in values]:
+            expected = any(
+                all(ring.mul(c, x) == zero for x in xs) for c in killers
+            )
+            assert ring.is_zero_divisor(xs) == expected, xs
+
+    def test_polynomials_match_brute_force(self):
+        # every a + b*r over Z/6 against every nonzero killer of degree <= 1
+        R = PolynomialRing(IntegerModRing(6), ("r",))
+        polys = [R({(0,): a, (1,): b}).value for a in range(6) for b in range(6)]
+        killers = [c for c in polys if c]
+        for x in polys:
+            expected = any(not R.mul(c, x) for c in killers)
+            assert R.is_zero_divisor([x]) == expected, x
 
 
 class TestArithmeticSpotValues:
