@@ -26,7 +26,7 @@ offending field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 
 from .errors import SchemaError
@@ -198,12 +198,11 @@ def block_from_json(ring: Ring, obj, rank: int, path: str = "block") -> Block:
     return Block(ring, tuple(shape), entries)
 
 
-@dataclass(frozen=True)
-class SpecFile:
-    """A sequence plus an optional pair of roots attached to it."""
+class SpecFile(namedtuple("SpecFile", "sequence roots", defaults=(None,))):
+    """A sequence (a :class:`MultiSequence`) plus an optional pair of roots
+    attached to it: two :class:`RingElement` values, or ``None``."""
 
-    sequence: MultiSequence
-    roots: tuple[RingElement, RingElement] | None = None
+    __slots__ = ()
 
 
 def sequence_to_json(seq: MultiSequence, roots=None) -> dict:

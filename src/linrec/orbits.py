@@ -17,7 +17,7 @@ determinant of the matrix of reduced monomials is a zero divisor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import AmbiguousOrbitError, HypothesisError
 from .multiseq import Block, MultiSequence, MultiSpec, charpoly, reduce_relation
@@ -69,16 +69,15 @@ def format_shift(shift) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(namedtuple("Orbit", "primitive members")):
     """A primitive block together with every block reachable from it.
 
-    ``members`` maps each reachable block (the primitive included, at
-    shift ``(0, 0)``) to the smallest shift producing it, ordered by that
-    shift."""
+    ``primitive`` is a block ``(x00, x10, x01, x11)``; ``members`` holds a
+    ``(block, shift)`` pair for each reachable block (the primitive
+    included, at shift ``(0, 0)``) with the smallest shift producing it,
+    ordered by that shift."""
 
-    primitive: tuple[int, int, int, int]
-    members: tuple[tuple[tuple[int, int, int, int], tuple[int, int]], ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import linrec.cli as cli
 from conftest import injective, value_matrix
 from linrec.cli import WINDOW_CELL_LIMIT, main
 from linrec.errors import RingMismatchError
@@ -31,6 +32,7 @@ FIB = str(DATA / "fibonacci.json")
 FIB_ROOTS = str(DATA / "fibonacci_roots.json")
 DIAG = str(DATA / "diag_fixture.json")
 MERSENNE = str(DATA / "fib_mod_mersenne.json")
+GOLDEN = DATA / "golden"
 
 
 def run(capsys, *argv):
@@ -436,6 +438,40 @@ class TestDiagCheck:
         assert code == 0
         assert out == "OK (25 checks)\n"
 
+    @staticmethod
+    def count_calls(monkeypatch, answer=None):
+        calls = []
+        real = cli.diagonal_check
+
+        def counted(seq, n, k):
+            calls.append((n, k))
+            return real(seq, n, k) if answer is None else answer
+
+        monkeypatch.setattr(cli, "diagonal_check", counted)
+        return calls
+
+    def test_one_reduction_decides_the_square(self, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        code, out, _ = run(capsys, "diag-check", "--spec", DIAG, "30")
+        assert (code, out) == (0, "OK (961 checks)\n")
+        assert calls == [(0, 0)]
+
+    def test_failure_reported_at_the_origin(self, capsys, monkeypatch):
+        calls = self.count_calls(monkeypatch, answer=False)
+        code, out, _ = run(capsys, "diag-check", "--spec", DIAG, "30")
+        assert (code, out) == (3, "FAILED at (0, 0)\n")
+        assert calls == [(0, 0)]
+
+    def test_violated_hypothesis_text(self, capsys, tmp_path, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        spec = tmp_path / "spec.json"
+        ms = MultiSpec(ZZ, [(1, 1), (2, 1)])
+        save_spec(spec, MultiSequence(ms, Block(ZZ, (2, 2), [1, 0, 0, 1])))
+        code, out, err = run(capsys, "diag-check", "--spec", str(spec), "30")
+        assert (code, out) == (3, "HYPOTHESIS VIOLATED\n")
+        assert err == "error: coefficient relation a^2*d = b*c^2 does not hold\n"
+        assert calls == [(0, 0)]
+
 
 class TestOrbits:
     def test_five_primitives_listed(self, capsys):
@@ -455,6 +491,14 @@ class TestOrbits:
         assert sorted(o["size"] for o in orbits) == [1, 1, 2, 3, 9]
         covered = sorted(m["index"] for o in orbits for m in o["members"])
         assert covered == list(range(16))
+
+    @pytest.mark.parametrize(
+        "fmt, golden", [("grid", "orbits_grid.out"), ("json", "orbits_json.out")]
+    )
+    def test_output_matches_golden(self, capsys, fmt, golden):
+        code, out, _ = run(capsys, "orbits", "--format", fmt)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text()
 
     def test_csv_refused(self, capsys):
         code, _, err = run(capsys, "orbits", "--format", "csv")

@@ -22,3 +22,9 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 def test_demo_prints(capsys, script, line):
     runpy.run_path(str(DEMOS / script), run_name="__main__")
     assert line in capsys.readouterr().out.splitlines()
+
+
+def test_orbit_census_output_is_unchanged(capsys):
+    runpy.run_path(str(DEMOS / "orbit_census.py"), run_name="__main__")
+    golden = DEMOS.parent / "tests" / "data" / "golden" / "orbit_census.out"
+    assert capsys.readouterr().out == golden.read_text()

@@ -8,6 +8,7 @@ import pytest
 
 from linrec.errors import SchemaError
 from linrec.jsonio import (
+    SpecFile,
     block_from_json,
     block_to_json,
     dump_spec,
@@ -158,6 +159,19 @@ class TestSpecFiles:
         text = dump_spec(seq, roots=(ZZ(1), ZZ(2)))
         loaded = spec_from_json(json.loads(text))
         assert loaded.roots == (ZZ(1), ZZ(2))
+
+    def test_record_fields(self):
+        seq = Sequence(Recurrence(ZZ, [3, -2]), [0, 1])
+        assert SpecFile(seq).roots is None
+        loaded = SpecFile(sequence=seq, roots=(ZZ(1), ZZ(2)))
+        assert loaded.sequence is seq
+        assert loaded.roots == (ZZ(1), ZZ(2))
+        assert loaded == SpecFile(seq, (ZZ(1), ZZ(2)))
+        assert SpecFile(seq) == SpecFile(seq, None)
+        with pytest.raises(AttributeError):
+            loaded.roots = None
+        with pytest.raises(AttributeError):
+            loaded.extra = 1
 
     def test_load_intro_grid(self):
         loaded = load_spec(DATA / "grid_intro.json")

@@ -119,6 +119,35 @@ class TestCensus:
             classify_orbits(search_bound=1)
 
 
+class TestOrbitRecord:
+    MEMBERS = (((1, 1, 0, 1), (0, 0)), ((1, 2, 1, 3), (1, 0)))
+
+    def test_fields_size_and_blocks(self):
+        o = Orbit(primitive=(1, 1, 0, 1), members=self.MEMBERS)
+        assert o.primitive == (1, 1, 0, 1)
+        assert o.members == self.MEMBERS
+        assert o.size == 2
+        assert o.blocks() == frozenset({(1, 1, 0, 1), (1, 2, 1, 3)})
+
+    def test_equality_and_hashing(self):
+        a = Orbit((1, 1, 0, 1), self.MEMBERS)
+        b = Orbit(primitive=(1, 1, 0, 1), members=self.MEMBERS)
+        c = Orbit((1, 1, 0, 1), self.MEMBERS[:1])
+        assert a == b and hash(a) == hash(b)
+        assert a != c
+        assert len({a, b, c}) == 2
+
+    def test_census_orbits_hash(self, orbits):
+        assert len(set(orbits)) == len(orbits)
+
+    def test_immutable(self):
+        o = Orbit((1, 1, 0, 1), self.MEMBERS)
+        with pytest.raises(AttributeError):
+            o.primitive = (0, 0, 0, 0)
+        with pytest.raises(AttributeError):
+            o.extra = 1
+
+
 class TestFormatting:
     def test_block_prints_second_row_on_top(self):
         assert format_block((1, 0, 0, 0)) == "0 0\n1 0"
