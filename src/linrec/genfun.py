@@ -65,17 +65,23 @@ def _embed(poly: RingElement, target: PolynomialRing, axis: int) -> RingElement:
     return target(payload)
 
 
+def _orders(orders, count: int) -> tuple[int, ...]:
+    """Inclusive bounds, one nonnegative integer per variable."""
+    orders = tuple(int(o) for o in orders)
+    if len(orders) != count:
+        raise ValueError("one order bound per variable required")
+    if any(o < 0 for o in orders):
+        raise ValueError(f"negative order bounds {orders}")
+    return orders
+
+
 class TruncatedSeries:
     """Exact series coefficients up to an inclusive bound per variable."""
 
     def __init__(self, ring: Ring, variables, orders, coeffs):
         self.ring = ring
         self.variables = tuple(variables)
-        self.orders = tuple(int(o) for o in orders)
-        if len(self.orders) != len(self.variables):
-            raise ValueError("one order bound per variable required")
-        if any(o < 0 for o in self.orders):
-            raise ValueError(f"negative order bounds {self.orders}")
+        self.orders = _orders(orders, len(self.variables))
         self.shape = tuple(o + 1 for o in self.orders)
         coeffs = tuple(ring(c) for c in coeffs)
         if len(coeffs) != prod(self.shape):
@@ -90,7 +96,7 @@ class TruncatedSeries:
         ring = poly.ring
         if not isinstance(ring, PolynomialRing):
             raise RingMismatchError("expected a polynomial element")
-        orders = tuple(int(o) for o in orders)
+        orders = _orders(orders, ring.nvars)
         shape = tuple(o + 1 for o in orders)
         flat = [ring.base.payload_zero()] * prod(shape)
         for exps, c in poly.value.items():
@@ -203,9 +209,7 @@ class RationalGF:
 
     def expand(self, orders) -> TruncatedSeries:
         """Series coefficients up to the inclusive per-variable bounds."""
-        orders = tuple(int(o) for o in orders)
-        if len(orders) != len(self.variables):
-            raise ValueError("one order bound per variable required")
+        orders = _orders(orders, len(self.variables))
         seed = TruncatedSeries.from_polynomial(self.numerator, orders)
         shape = seed.shape
         flat = list(seed.coeffs)
@@ -277,20 +281,22 @@ def gf(seq: MultiSequence, coordinate: int | None = None) -> RationalGF:
         raise IndexError(f"coordinate {coordinate} out of range")
     names = series_variables(seq.ndim)
     poly_ring = PolynomialRing(seq.ring, names)
-    axis_q = []
-    axis_numer = []
-    for axis, rec in enumerate(seq.spec.axes):
-        axis_q.append(_embed(q_poly(rec, names[axis]), poly_ring, axis))
-        axis_numer.append(
-            [
-                _embed(Q, poly_ring, axis)
-                for Q in numerator_basis_polys(rec, names[axis])
-            ]
-        )
+    axis_numer = [
+        [_embed(Q, poly_ring, axis) for Q in numerator_basis_polys(rec, names[axis])]
+        for axis, rec in enumerate(seq.spec.axes)
+    ]
     numerator = poly_ring.zero
     for weight, entry in zip(row_products(axis_numer), seq.block.entries):
         numerator = numerator + weight * poly_ring.constant(entry[coordinate])
-    return RationalGF(numerator, axis_q)
+    return RationalGF(numerator, _denominators(seq, poly_ring))
+
+
+def _denominators(seq: MultiSequence, poly_ring: PolynomialRing) -> tuple:
+    """Each axis rule's ``q_i``, in that axis's variable of ``poly_ring``."""
+    return tuple(
+        _embed(q_poly(rec, poly_ring.variables[axis]), poly_ring, axis)
+        for axis, rec in enumerate(seq.spec.axes)
+    )
 
 
 def coefficient(rational: RationalGF, index) -> RingElement:
@@ -403,10 +409,27 @@ def _even_part_of_q_times_q_neg(ring: Ring, q: list) -> list:
 
 def verify_gf(seq: MultiSequence, orders) -> bool:
     """Whether the expanded generating functions reproduce every term of the
-    sequence inside the bounds, exactly, one series per coordinate."""
-    series = [gf(seq, coord).expand(orders) for coord in range(seq.rank)]
-    box = seq.window((0,) * seq.ndim, series[0].shape)
-    return all(
-        tuple(s.coeffs[pos] for s in series) == entry.coords
-        for pos, entry in enumerate(box.entries)
-    )
+    sequence inside the bounds, exactly, one series per coordinate.
+
+    Decided without expanding the box.  On a box anchored at 0, multiplying
+    by ``q_1 ... q_p`` or by its inverse is triangular with a unit diagonal,
+    and the sequence's own numerator lies in the ``d_1 x ... x d_p`` corner.
+    So, when each denominator is its axis rule's ``q_i``, a series equals the
+    sequence on the box exactly when its numerator has no term in the box
+    outside the corner and its expansion matches the initial block there."""
+    orders = _orders(orders, seq.ndim)
+    corner = tuple(min(d - 1, o) for d, o in zip(seq.spec.shape, orders))
+    cells = box_indices([c + 1 for c in corner])
+    # the initial block on the corner, one tuple per coordinate
+    initial = list(zip(*(seq.block.at(i).coords for i in cells)))
+    for coord in range(seq.rank):
+        rational = gf(seq, coord)
+        if rational.denominators != _denominators(seq, rational.poly_ring):
+            return False
+        for e in rational.numerator.value:
+            in_box = all(n <= o for n, o in zip(e, orders))
+            if in_box and any(n >= d for n, d in zip(e, seq.spec.shape)):
+                return False
+        if rational.expand(corner).coeffs != initial[coord]:
+            return False
+    return True

@@ -354,6 +354,8 @@ class MultiSequence:
         origin = self._index(origin)
         if shape is None:
             shape = self.spec.shape
+        elif len(shape) != self.ndim:
+            raise IndexError(f"expected {self.ndim} extents, got {len(shape)}")
         return Block(
             self.ring,
             shape,

@@ -9,6 +9,11 @@ census groups the sixteen blocks into orbits under this reachability and
 singles out primitives: blocks not obtainable by shifting any other
 block's sequence.
 
+Binary windows lie at shifts of at most 2 per axis.  Every line along one
+axis starts with two nonnegative integers; unless both are zero, its values
+from index 4 on are at least 2.  So a binary window at a shift of 3 or more
+sits on two adjacent zero lines, and those force the zero block.
+
 ``positions_determine`` answers a different question, for any two-axis
 spec over any ring: whether prescribing values at ``d_1 * d_2`` given index
 pairs pins down the double sequence uniquely, decided by whether the
@@ -18,6 +23,7 @@ determinant of the matrix of reduced monomials is a zero divisor.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import product
 
 from .errors import AmbiguousOrbitError, HypothesisError
 from .multiseq import Block, MultiSequence, MultiSpec, charpoly, reduce_relation
@@ -87,84 +93,53 @@ class Orbit(namedtuple("Orbit", "primitive members")):
         return frozenset(m[0] for m in self.members)
 
 
-def _window_values(seq: MultiSequence, shift) -> tuple[int, int, int, int]:
-    i, j = shift
-    return (
-        seq.term((i, j)).scalar().value,
-        seq.term((i + 1, j)).scalar().value,
-        seq.term((i, j + 1)).scalar().value,
-        seq.term((i + 1, j + 1)).scalar().value,
-    )
+def _windows(block, bound: int) -> dict:
+    """The 2x2 windows of a block's sequence at shifts up to ``bound`` per
+    axis, from one read of the square they cover; keyed by shift, smallest
+    total shift first."""
+    side = bound + 2
+    v = block_sequence(block).window((0, 0), (side, side)).entries
+    at = lambda i, j: v[i + side * j].scalar().value
+    return {
+        (i, j): (at(i, j), at(i + 1, j), at(i, j + 1), at(i + 1, j + 1))
+        for i, j in sorted(product(range(bound + 1), repeat=2), key=lambda s: (sum(s), s))
+    }
 
 
-def _partition(bound: int) -> list[Orbit]:
+def classify_orbits(search_bound: int = DEFAULT_SEARCH_BOUND) -> list[Orbit]:
+    """Partition the sixteen binary blocks into shift orbits.
+
+    Shifts up to ``search_bound`` per axis are scanned once, and a block's
+    first hit is its smallest shift.  The answer is the same for every bound
+    of at least 2, since binary windows lie at shifts of at most 2 (see the
+    module docstring).  A block reachable from two primitives, or from none,
+    raises :class:`~linrec.errors.AmbiguousOrbitError`."""
+    if search_bound < 2:
+        raise ValueError("search bound must be at least 2")
     blocks = enumerate_blocks()
     binary = set(blocks)
-    # all windows of each block's sequence that land on a binary block,
-    # keyed by the block found, keeping the smallest shift
-    found: dict[tuple, dict[tuple, tuple[int, int]]] = {b: {} for b in blocks}
+    found = {b: {} for b in blocks}
     for b in blocks:
-        seq = block_sequence(b)
-        for i in range(bound + 1):
-            for j in range(bound + 1):
-                w = _window_values(seq, (i, j))
-                if w in binary:
-                    prev = found[b].get(w)
-                    if prev is None or (i + j, i, j) < (
-                        prev[0] + prev[1],
-                        prev[0],
-                        prev[1],
-                    ):
-                        found[b][w] = (i, j)
-    primitives = []
-    for b in blocks:
-        reachable_from_other = any(
-            b in found[other]
-            for other in blocks
-            if other != b
-        )
-        if not reachable_from_other:
-            primitives.append(b)
+        for shift, w in _windows(b, search_bound).items():
+            if w in binary:
+                found[b].setdefault(w, shift)
     orbits = []
     covered: dict[tuple, tuple] = {}
-    for p in primitives:
-        members = sorted(
-            found[p].items(), key=lambda kv: (kv[1][0] + kv[1][1], kv[1])
-        )
-        for block, _ in members:
+    for p in blocks:
+        if any(p in found[other] for other in blocks if other != p):
+            continue
+        for block in found[p]:
             if block in covered:
                 raise AmbiguousOrbitError(
                     f"block {block} reachable from two primitives "
                     f"{covered[block]} and {p}"
                 )
             covered[block] = p
-        orbits.append(Orbit(p, tuple(members)))
-    if len(covered) != 16:
-        missing = [b for b in blocks if b not in covered]
-        raise AmbiguousOrbitError(
-            f"blocks {missing} belong to no primitive's orbit"
-        )
-    orbits.sort(key=lambda o: block_index(o.primitive))
+        orbits.append(Orbit(p, tuple(found[p].items())))
+    missing = [b for b in blocks if b not in covered]
+    if missing:
+        raise AmbiguousOrbitError(f"blocks {missing} belong to no primitive's orbit")
     return orbits
-
-
-def classify_orbits(search_bound: int = DEFAULT_SEARCH_BOUND) -> list[Orbit]:
-    """Partition the sixteen binary blocks into shift orbits.
-
-    Shifts up to ``search_bound`` per axis are examined; the partition is
-    recomputed at ``search_bound + 2`` and must agree, otherwise
-    :class:`~linrec.errors.AmbiguousOrbitError` is raised."""
-    if search_bound < 2:
-        raise ValueError("search bound must be at least 2")
-    first = _partition(search_bound)
-    wider = _partition(search_bound + 2)
-    summary = [(o.primitive, o.blocks()) for o in first]
-    if summary != [(o.primitive, o.blocks()) for o in wider]:
-        raise AmbiguousOrbitError(
-            f"orbit partition changed between bounds {search_bound} and "
-            f"{search_bound + 2}"
-        )
-    return first
 
 
 def generation_certificate():
@@ -172,9 +147,8 @@ def generation_certificate():
     shifts (0,0), (1,0), (0,1), (1,1); returns ``(matrix, determinant)``.
     A unit determinant certifies that shifted copies of that one block
     combine integrally into every starting block."""
-    seq = block_sequence((1, 0, 0, 0))
-    shifts = [(0, 0), (1, 0), (0, 1), (1, 1)]
-    matrix = [list(_window_values(seq, s)) for s in shifts]
+    windows = _windows((1, 0, 0, 0), 1)
+    matrix = [list(windows[s]) for s in [(0, 0), (1, 0), (0, 1), (1, 1)]]
     det = (-1) ** len(matrix) * charpoly(ZZ, matrix)[0]
     return matrix, det
 

@@ -492,11 +492,21 @@ class TestOrbits:
         covered = sorted(m["index"] for o in orbits for m in o["members"])
         assert covered == list(range(16))
 
+    # the goldens were written at the default bound 4; every bound of at
+    # least 2 prints the same census
     @pytest.mark.parametrize(
-        "fmt, golden", [("grid", "orbits_grid.out"), ("json", "orbits_json.out")]
+        "fmt, golden, bound",
+        [
+            pytest.param(
+                fmt, golden, bound, id=f"{fmt}-{golden}" + (f"-bound{bound}" if bound else "")
+            )
+            for fmt, golden in [("grid", "orbits_grid.out"), ("json", "orbits_json.out")]
+            for bound in (None, "2", "3", "5", "9")
+        ],
     )
-    def test_output_matches_golden(self, capsys, fmt, golden):
-        code, out, _ = run(capsys, "orbits", "--format", fmt)
+    def test_output_matches_golden(self, capsys, fmt, golden, bound):
+        argv = ["orbits", "--format", fmt] + (["--bound", bound] if bound else [])
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == (GOLDEN / golden).read_text()
 

@@ -1,12 +1,15 @@
 """Generating functions: numerators, denominators, expansion, verification."""
 
 import random
+from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import elements
+from linrec import genfun
 from linrec.errors import NotInvertibleError, RingMismatchError
 from linrec.genfun import (
     RationalGF,
@@ -18,7 +21,7 @@ from linrec.genfun import (
     series_variables,
     verify_gf,
 )
-from linrec.multiseq import Block, MultiSequence, MultiSpec, box_indices
+from linrec.multiseq import Block, MultiSequence, MultiSpec, box_indices, from_sequence
 from linrec.recurrence import Recurrence, Sequence
 from linrec.rings import QQ, ZZ, IntegerModRing, PolynomialRing, ProductRing
 
@@ -180,6 +183,108 @@ class TestVerify:
             entries = [rng.randint(-5, 5) for _ in range(size)]
             seq = make(ZZ, axes, entries)
             assert verify_gf(seq, (4, 4, 4))
+
+
+def verify_by_expansion(seq, orders):
+    """The reference: expand every series over the whole box and compare it
+    with a window read by the rewriting memo."""
+    series = [genfun.gf(seq, coord).expand(orders) for coord in range(seq.rank)]
+    box = from_sequence(seq).window((0,) * seq.ndim, series[0].shape)
+    return all(
+        tuple(s.coeffs[pos] for s in series) == entry.coords
+        for pos, entry in enumerate(box.entries)
+    )
+
+
+def corrupt(numerator=None, denominator=None):
+    """``gf`` with one numerator term added (an exponent and a payload), or
+    with one term added to the first axis's denominator (a degree and a
+    payload)."""
+
+    def corrupted(seq, coordinate=None):
+        rational = gf(seq, coordinate)
+        ring = rational.poly_ring
+        num, dens = rational.numerator, list(rational.denominators)
+        if numerator is not None:
+            exps, c = numerator
+            num = num + ring({exps: c})
+        if denominator is not None:
+            degree, c = denominator
+            dens[0] = dens[0] + ring({(degree,) + (0,) * (seq.ndim - 1): c})
+        return RationalGF(num, dens)
+
+    return corrupted
+
+
+VERIFY_RINGS = [
+    ZZ,
+    QQ,
+    IntegerModRing(12),
+    ProductRing(IntegerModRing(10**9 + 7), IntegerModRing(12)),
+    PolynomialRing(ZZ, ("r",)),
+]
+
+
+class TestVerifyCertificate:
+    def test_extra_numerator_term_outside_corner(self, grid, monkeypatch):
+        monkeypatch.setattr(genfun, "gf", corrupt(numerator=((2, 0), 1)))
+        assert not verify_gf(grid, (8, 8))
+
+    def test_extra_numerator_term_beyond_box_is_harmless(self, grid, monkeypatch):
+        monkeypatch.setattr(genfun, "gf", corrupt(numerator=((9, 0), 1)))
+        assert verify_gf(grid, (8, 8))
+        assert verify_by_expansion(grid, (8, 8))
+
+    def test_changed_corner_coefficient(self, grid, monkeypatch):
+        monkeypatch.setattr(genfun, "gf", corrupt(numerator=((1, 1), 1)))
+        assert not verify_gf(grid, (8, 8))
+
+    # degree 2 and up change no coefficient of the corner, so only the
+    # denominator test sees them
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_changed_denominator_coefficient(self, grid, monkeypatch, degree):
+        monkeypatch.setattr(genfun, "gf", corrupt(denominator=(degree, 1)))
+        assert not verify_by_expansion(grid, (8, 8))
+        assert not verify_gf(grid, (8, 8))
+
+    @pytest.mark.parametrize(
+        "orders, message",
+        [
+            ((8,), "one order bound per variable required"),
+            ((8, 8, 8), "one order bound per variable required"),
+            ((8, -1), r"negative order bounds \(8, -1\)"),
+        ],
+    )
+    def test_bad_orders(self, grid, orders, message):
+        for check in (verify_gf, verify_by_expansion):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check(grid, orders)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_matches_expansion(self, data):
+        ring = data.draw(st.sampled_from(VERIFY_RINGS))
+        p = data.draw(st.integers(1, 3))
+        shape = tuple(data.draw(st.integers(1, 3 if p < 3 else 2)) for _ in range(p))
+        rank = data.draw(st.integers(1, 2))
+        small = elements(ring, 3)
+        axes = [[data.draw(small) for _ in range(d)] for d in shape]
+        entries = [[data.draw(small) for _ in range(rank)] for _ in range(prod(shape))]
+        seq = make(ring, axes, entries)
+        # bounds below, at and beyond the corner
+        orders = tuple(data.draw(st.integers(0, d + 2)) for d in shape)
+        # one numerator term, in the box or just beyond it, on one coordinate
+        exps = tuple(data.draw(st.integers(0, o + 1)) for o in orders)
+        extra = data.draw(small).value
+        corrupted = corrupt(numerator=(exps, extra))
+        bad = data.draw(st.integers(0, rank - 1))
+
+        def patched(seq, coordinate=None):
+            return (corrupted if coordinate == bad else gf)(seq, coordinate)
+
+        assert verify_gf(seq, orders)
+        with mock.patch.object(genfun, "gf", patched):
+            assert verify_gf(seq, orders) == verify_by_expansion(seq, orders)
 
 
 class TestInvariants:

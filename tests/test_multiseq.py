@@ -5,6 +5,7 @@ import threading
 from fractions import Fraction
 from itertools import permutations
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import elements
 from linrec import multiseq
 from linrec.errors import HypothesisError, NotInvertibleError, RingMismatchError
+from linrec.jsonio import load_spec
 from linrec.multiseq import (
     Block,
     MultiSequence,
@@ -243,6 +245,12 @@ class TestEvaluation:
 class TestWindowsAndShifts:
     def test_window_is_initial_block_at_origin(self, grid):
         assert grid.window((0, 0)) == grid.block
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2,), ()])
+    def test_window_shape_must_match_axes(self, shape):
+        seq = load_spec(Path(__file__).parent / "data" / "grid_intro.json").sequence
+        with pytest.raises(IndexError, match=f"expected 2 extents, got {len(shape)}"):
+            seq.window((0, 0), shape)
 
     def test_shift_consistency(self, grid):
         shifted = grid.shift((2, 1))

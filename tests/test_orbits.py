@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import elements, injective, residues, value_matrix
-from linrec.errors import HypothesisError
+from linrec import orbits as orbits_module
+from linrec.errors import AmbiguousOrbitError, HypothesisError
 from linrec.multiseq import Block, MultiSequence, MultiSpec, charpoly, reduce_relation
 from linrec.orbits import (
     Orbit,
@@ -117,6 +118,32 @@ class TestCensus:
     def test_bound_too_small(self):
         with pytest.raises(ValueError):
             classify_orbits(search_bound=1)
+
+    def test_same_census_at_every_bound(self, orbits):
+        # binary windows occur only at shifts of at most 2 per axis, so the
+        # members and their smallest shifts do not depend on the bound
+        least = classify_orbits(search_bound=2)
+        assert least == orbits
+        for bound in range(3, 13):
+            assert classify_orbits(search_bound=bound) == least
+
+
+def rule_sequences(rule):
+    """A stand-in for ``block_sequence`` with the same rule on both axes."""
+    spec = MultiSpec(ZZ, [rule, rule])
+    return lambda block: MultiSequence(spec, Block(ZZ, (2, 2), list(block)))
+
+
+class TestAmbiguousCensus:
+    def test_block_reachable_from_two_primitives(self, monkeypatch):
+        monkeypatch.setattr(orbits_module, "block_sequence", rule_sequences((0, 0)))
+        with pytest.raises(AmbiguousOrbitError, match="reachable from two primitives"):
+            classify_orbits()
+
+    def test_block_in_no_orbit(self, monkeypatch):
+        monkeypatch.setattr(orbits_module, "block_sequence", rule_sequences((0, 1)))
+        with pytest.raises(AmbiguousOrbitError, match="belong to no primitive's orbit"):
+            classify_orbits()
 
 
 class TestOrbitRecord:
